@@ -303,7 +303,7 @@ run(int argc, char** argv)
         doc += ",\n  " + json::key("runs") + "[";
         for (std::size_t i = 0; i < phase_docs.size(); ++i) {
             doc += i ? ",\n    " : "\n    ";
-            doc += "{" + json::key("job") +
+            doc += json::firstKey("job") +
                    std::to_string(phase_docs[i].first) + ", " +
                    json::key("phases") + phase_docs[i].second + "}";
         }

@@ -4,36 +4,33 @@ namespace mrp::cache {
 
 BasicCache::BasicCache(std::string name, Addr bytes, std::uint32_t ways)
     : name_(std::move(name)), geom_(bytes, ways),
-      blocks_(static_cast<std::size_t>(geom_.sets()) * geom_.ways())
+      tags_(static_cast<std::size_t>(geom_.sets()) * geom_.ways(),
+            kInvalid),
+      lastUse_(tags_.size(), 0), dirty_(tags_.size(), 0)
 {
 }
 
-BasicCache::Block*
-BasicCache::find(Addr addr)
-{
-    const std::uint32_t set = geom_.setIndex(addr);
-    const std::uint64_t tag = geom_.tag(addr);
-    Block* base = &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    return nullptr;
-}
-
-const BasicCache::Block*
+std::ptrdiff_t
 BasicCache::find(Addr addr) const
 {
-    return const_cast<BasicCache*>(this)->find(addr);
+    const std::size_t base =
+        static_cast<std::size_t>(geom_.setIndex(addr)) * geom_.ways();
+    const std::uint64_t tag = geom_.tag(addr);
+    const std::uint64_t* tags = &tags_[base];
+    for (std::uint32_t w = 0; w < geom_.ways(); ++w)
+        if (tags[w] == tag)
+            return static_cast<std::ptrdiff_t>(base + w);
+    return -1;
 }
 
 bool
 BasicCache::access(Addr addr, bool is_write)
 {
     ++stats_.demandAccesses;
-    if (Block* b = find(addr)) {
-        b->lastUse = ++useClock_;
-        if (is_write)
-            b->dirty = true;
+    const std::ptrdiff_t i = find(addr);
+    if (i >= 0) {
+        lastUse_[i] = ++useClock_;
+        dirty_[i] |= is_write ? 1 : 0;
         ++stats_.demandHits;
         return true;
     }
@@ -44,74 +41,73 @@ BasicCache::access(Addr addr, bool is_write)
 bool
 BasicCache::contains(Addr addr) const
 {
-    return find(addr) != nullptr;
+    return find(addr) >= 0;
 }
 
 bool
 BasicCache::touch(Addr addr)
 {
-    if (Block* b = find(addr)) {
-        b->lastUse = ++useClock_;
-        return true;
-    }
-    return false;
+    const std::ptrdiff_t i = find(addr);
+    if (i < 0)
+        return false;
+    lastUse_[i] = ++useClock_;
+    return true;
 }
 
 VictimBlock
-BasicCache::fill(Addr addr, bool dirty, bool prefetched)
+BasicCache::fill(Addr addr, bool dirty)
 {
     const std::uint32_t set = geom_.setIndex(addr);
-    const std::uint64_t tag = geom_.tag(addr);
-    Block* base = &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
+    const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
 
-    Block* slot = nullptr;
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
-        if (!slot || base[w].lastUse < slot->lastUse)
-            slot = &base[w];
-    }
+    // Invalid ways carry stamp 0 and valid ones a positive stamp, so
+    // the first minimum is the first invalid way if there is one, and
+    // the least recently used way otherwise.
+    const std::uint64_t* stamps = &lastUse_[base];
+    std::uint32_t way = 0;
+    for (std::uint32_t w = 1; w < geom_.ways(); ++w)
+        if (stamps[w] < stamps[way])
+            way = w;
+    const std::size_t slot = base + way;
 
     VictimBlock victim;
-    if (slot->valid) {
+    if (tags_[slot] != kInvalid) {
         victim.valid = true;
-        victim.blockAddress = geom_.blockAddrOf(set, slot->tag);
-        victim.dirty = slot->dirty;
+        victim.blockAddress = geom_.blockAddrOf(set, tags_[slot]);
+        victim.dirty = dirty_[slot] != 0;
         ++stats_.evictions;
-        if (slot->dirty)
+        if (victim.dirty)
             ++stats_.dirtyEvictions;
     }
 
-    slot->tag = tag;
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->prefetched = prefetched;
-    slot->lastUse = ++useClock_;
+    tags_[slot] = geom_.tag(addr);
+    dirty_[slot] = dirty ? 1 : 0;
+    lastUse_[slot] = ++useClock_;
     return victim;
 }
 
 bool
 BasicCache::markDirty(Addr addr)
 {
-    if (Block* b = find(addr)) {
-        b->dirty = true;
-        return true;
-    }
-    return false;
+    const std::ptrdiff_t i = find(addr);
+    if (i < 0)
+        return false;
+    dirty_[i] = 1;
+    return true;
 }
 
 VictimBlock
 BasicCache::invalidate(Addr addr)
 {
     VictimBlock out;
-    if (Block* b = find(addr)) {
+    const std::ptrdiff_t i = find(addr);
+    if (i >= 0) {
         out.valid = true;
         out.blockAddress = blockAddr(addr) << kBlockShift;
-        out.dirty = b->dirty;
-        b->valid = false;
-        b->dirty = false;
+        out.dirty = dirty_[i] != 0;
+        tags_[i] = kInvalid;
+        lastUse_[i] = 0;
+        dirty_[i] = 0;
     }
     return out;
 }

@@ -4,7 +4,8 @@
  *
  * The upper levels do not need pluggable policies (the paper's
  * techniques manage only the LLC), so this class is kept simple and
- * fast: linear tag search within a set and 64-bit LRU stamps.
+ * fast: each set's tags sit in one contiguous run, invalid ways hold a
+ * tag no address produces, and recency is a 64-bit LRU stamp per way.
  */
 
 #ifndef MRP_CACHE_BASIC_CACHE_HPP
@@ -56,10 +57,9 @@ class BasicCache
     /**
      * Install the block of @p addr, assumed absent.
      * @param dirty install in dirty state (writeback allocation)
-     * @param prefetched tag the block as brought in by a prefetch
      * @return the displaced block, if any
      */
-    VictimBlock fill(Addr addr, bool dirty, bool prefetched);
+    VictimBlock fill(Addr addr, bool dirty);
 
     /** Mark an (assumed present) block dirty; returns false if absent. */
     bool markDirty(Addr addr);
@@ -71,21 +71,19 @@ class BasicCache
     const stats::LevelStats& stats() const { return stats_; }
 
   private:
-    struct Block
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
-    };
+    /** Tag of an invalid way; block tags are below 2^58. */
+    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
 
-    Block* find(Addr addr);
-    const Block* find(Addr addr) const;
+    /** Flat index of the way holding @p addr, or -1. */
+    std::ptrdiff_t find(Addr addr) const;
 
     std::string name_;
     CacheGeometry geom_;
-    std::vector<Block> blocks_; // sets * ways, set-major
+    // Per way, sets * ways each, set-major.
+    std::vector<std::uint64_t> tags_;
+    /** Last-use stamp; 0 exactly when the way is invalid. */
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useClock_ = 0;
     stats::LevelStats stats_;
 };

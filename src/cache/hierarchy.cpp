@@ -31,7 +31,9 @@ Cycle
 Hierarchy::access(CoreId core, Pc pc, Addr addr, bool is_write,
                   const CoreContext* ctx)
 {
-    panicIf(core >= cfg_.cores, "core id out of range");
+    // Not panicIf: it would build the message on every access.
+    if (core >= cfg_.cores)
+        panic("core id out of range");
 
     if (l1_[core].access(addr, is_write)) {
         if (prefetchTracking_)
@@ -63,12 +65,12 @@ Hierarchy::access(CoreId core, Pc pc, Addr addr, bool is_write,
         }
         if (r.victim.valid && r.victim.dirty)
             ++dramWrites_;
-        const VictimBlock v2 = l2_[core].fill(addr, false, false);
+        const VictimBlock v2 = l2_[core].fill(addr, false);
         if (v2.valid && v2.dirty)
             writebackToLlc(core, v2.blockAddress);
     }
 
-    const VictimBlock v1 = l1_[core].fill(addr, is_write, false);
+    const VictimBlock v1 = l1_[core].fill(addr, is_write);
     if (v1.valid && v1.dirty)
         writebackToL2(core, v1.blockAddress);
 
@@ -88,7 +90,7 @@ Hierarchy::writebackToL2(CoreId core, Addr block_address)
     // Write-allocate in L2 (non-inclusive hierarchy: the L1 victim may
     // no longer be present below).
     ++l2_[core].stats().writebackMisses;
-    const VictimBlock v = l2_[core].fill(block_address, true, false);
+    const VictimBlock v = l2_[core].fill(block_address, true);
     if (v.valid && v.dirty)
         writebackToLlc(core, v.blockAddress);
 }
@@ -133,12 +135,12 @@ Hierarchy::issuePrefetches(CoreId core, const CoreContext* ctx)
             if (r.victim.valid && r.victim.dirty)
                 ++dramWrites_;
             ++l2_[core].stats().prefetchAccesses;
-            const VictimBlock v2 = l2_[core].fill(addr, false, true);
+            const VictimBlock v2 = l2_[core].fill(addr, false);
             if (v2.valid && v2.dirty)
                 writebackToLlc(core, v2.blockAddress);
         }
         ++l1_[core].stats().prefetchAccesses;
-        const VictimBlock v1 = l1_[core].fill(addr, false, true);
+        const VictimBlock v1 = l1_[core].fill(addr, false);
         if (v1.valid && v1.dirty)
             writebackToL2(core, v1.blockAddress);
     }

@@ -8,27 +8,22 @@ namespace mrp::cache {
 PolicyCache::PolicyCache(Addr bytes, std::uint32_t ways,
                          std::unique_ptr<LlcPolicy> policy, unsigned cores)
     : geom_(bytes, ways), policy_(std::move(policy)),
-      blocks_(static_cast<std::size_t>(geom_.sets()) * geom_.ways()),
-      demandMissesPerCore_(cores, 0)
+      tags_(static_cast<std::size_t>(geom_.sets()) * geom_.ways(),
+            kInvalid),
+      state_(tags_.size()), demandMissesPerCore_(cores, 0)
 {
     fatalIf(!policy_, "PolicyCache requires a policy");
     fatalIf(cores == 0, "PolicyCache requires at least one core");
-}
-
-PolicyCache::Block&
-PolicyCache::blockAt(std::uint32_t set, std::uint32_t way)
-{
-    return blocks_[static_cast<std::size_t>(set) * geom_.ways() + way];
 }
 
 int
 PolicyCache::findWay(std::uint32_t set, std::uint64_t tag,
                      std::uint32_t owner) const
 {
-    const Block* base =
-        &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
+    const std::size_t base = slot(set, 0);
+    const std::uint64_t* tags = &tags_[base];
     for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (base[w].valid && base[w].tag == tag && base[w].owner == owner)
+        if (tags[w] == tag && state_[base + w].owner == owner)
             return static_cast<int>(w);
     return -1;
 }
@@ -90,7 +85,8 @@ PolicyCache::access(const AccessInfo& info)
     if (hit_way >= 0) {
         result.hit = true;
         if (info.type == AccessType::Writeback)
-            blockAt(set, static_cast<std::uint32_t>(hit_way)).dirty = true;
+            state_[slot(set, static_cast<std::uint32_t>(hit_way))]
+                .dirty = true;
         switch (info.type) {
           case AccessType::Load:
           case AccessType::Store:
@@ -143,9 +139,10 @@ PolicyCache::access(const AccessInfo& info)
     // Find an invalid allowed way first: bypassing when a way is free
     // would waste capacity, so the policy is only consulted for full
     // (within the partition) sets.
+    const std::uint64_t* tags = &tags_[slot(set, 0)];
     std::uint32_t fill_way = geom_.ways();
     for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if ((allowed >> w & 1) != 0 && !blockAt(set, w).valid) {
+        if ((allowed >> w & 1) != 0 && tags[w] == kInvalid) {
             fill_way = w;
             break;
         }
@@ -163,19 +160,19 @@ PolicyCache::access(const AccessInfo& info)
         fill_way = fill_mask != 0
                        ? policy_->victimWayIn(info, set, fill_mask)
                        : policy_->victimWay(info, set);
-        panicIf(fill_way >= geom_.ways() ||
-                    (allowed >> fill_way & 1) == 0,
-                "policy returned a victim way outside the fill mask");
-        Block& victim = blockAt(set, fill_way);
+        // Not panicIf: it would build the message on every eviction.
+        if (fill_way >= geom_.ways() || (allowed >> fill_way & 1) == 0)
+            panic("policy returned a victim way outside the fill mask");
+        const std::size_t victim = slot(set, fill_way);
         result.victim.valid = true;
-        result.victim.blockAddress = geom_.blockAddrOf(set, victim.tag);
-        result.victim.dirty = victim.dirty;
+        result.victim.blockAddress = geom_.blockAddrOf(set, tags_[victim]);
+        result.victim.dirty = state_[victim].dirty;
         ++stats_.evictions;
-        if (victim.dirty)
+        if (result.victim.dirty)
             ++stats_.dirtyEvictions;
         if (tel_) {
             tel_->evictions->add();
-            if (victim.dirty)
+            if (result.victim.dirty)
                 tel_->dirtyEvictions->add();
         }
         policy_->onEvict(set, fill_way);
@@ -183,11 +180,9 @@ PolicyCache::access(const AccessInfo& info)
             observer_->onEvict(set, fill_way, result.victim.blockAddress);
     }
 
-    Block& slot = blockAt(set, fill_way);
-    slot.tag = tag;
-    slot.owner = owner;
-    slot.valid = true;
-    slot.dirty = info.type == AccessType::Writeback;
+    const std::size_t fill = slot(set, fill_way);
+    tags_[fill] = tag;
+    state_[fill] = {owner, info.type == AccessType::Writeback};
     if (tel_)
         tel_->fills->add();
     policy_->onFill(info, set, fill_way);
@@ -200,12 +195,10 @@ bool
 PolicyCache::contains(Addr addr) const
 {
     // Presence check is owner-agnostic: any tenant's copy counts.
-    const std::uint32_t set = geom_.setIndex(addr);
     const std::uint64_t tag = geom_.tag(addr);
-    const Block* base =
-        &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
+    const std::uint64_t* tags = &tags_[slot(geom_.setIndex(addr), 0)];
     for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (tags[w] == tag)
             return true;
     return false;
 }
@@ -214,8 +207,8 @@ std::uint64_t
 PolicyCache::ownerBlockCount(std::uint32_t owner) const
 {
     std::uint64_t n = 0;
-    for (const Block& b : blocks_)
-        if (b.valid && b.owner == owner)
+    for (std::size_t i = 0; i < tags_.size(); ++i)
+        if (tags_[i] != kInvalid && state_[i].owner == owner)
             ++n;
     return n;
 }

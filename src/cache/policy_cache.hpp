@@ -71,11 +71,13 @@ class PolicyCache
     void resetStats();
 
   private:
-    struct Block
+    /** Tag of an invalid way; block tags are below 2^58. */
+    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+
+    /** A way's state besides its tag. */
+    struct WayState
     {
-        std::uint64_t tag = 0;
         std::uint32_t owner = 0; //!< tenant id; 0 when unpartitioned
-        bool valid = false;
         bool dirty = false;
     };
 
@@ -93,14 +95,20 @@ class PolicyCache
         telemetry::Counter* dirtyEvictions = nullptr;
     };
 
-    Block& blockAt(std::uint32_t set, std::uint32_t way);
+    std::size_t slot(std::uint32_t set, std::uint32_t way) const
+    {
+        return static_cast<std::size_t>(set) * geom_.ways() + way;
+    }
     int findWay(std::uint32_t set, std::uint64_t tag,
                 std::uint32_t owner) const;
 
     CacheGeometry geom_;
     std::unique_ptr<LlcPolicy> policy_;
     LlcObserver* observer_ = nullptr;
-    std::vector<Block> blocks_;
+    // Per way, sets * ways each, set-major. The tags stand alone so a
+    // set's lookup scans one contiguous run.
+    std::vector<std::uint64_t> tags_;
+    std::vector<WayState> state_;
     stats::LevelStats stats_;
     std::vector<std::uint64_t> demandMissesPerCore_;
     std::unique_ptr<Telemetry> tel_; //!< null until attachTelemetry

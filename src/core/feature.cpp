@@ -180,6 +180,70 @@ featureIndex(const FeatureSpec& spec, const FeatureInput& in)
                                       (size - 1));
 }
 
+FeaturePlan::FeaturePlan(const std::vector<FeatureSpec>& specs)
+{
+    fatalIf(specs.size() > kMaxFeatures,
+            "too many features for one plan");
+    for (const auto& f : specs) {
+        Step s{};
+        s.mask = ~std::uint64_t{0};
+        switch (f.kind) {
+          case FeatureKind::Pc:
+            if (f.depth == 0) {
+                s.source = kPc;
+                break;
+            }
+            {
+                const auto it =
+                    std::find(depths_.begin(), depths_.end(), f.depth);
+                s.source = static_cast<std::uint8_t>(
+                    kSources + (it - depths_.begin()));
+                if (it == depths_.end())
+                    depths_.push_back(f.depth);
+            }
+            break;
+          case FeatureKind::Address:
+            s.source = kAddr;
+            break;
+          case FeatureKind::Offset:
+            s.source = kOffset;
+            break;
+          case FeatureKind::Bias:
+            s.source = kZero;
+            break;
+          case FeatureKind::Burst:
+            s.source = kBurst;
+            break;
+          case FeatureKind::Insert:
+            s.source = kInsert;
+            break;
+          case FeatureKind::LastMiss:
+            s.source = kLastMiss;
+            break;
+        }
+        if (hasBitRange(f.kind)) {
+            // The bits() contract: reversed B/E swap, bits past 63
+            // read as zero.
+            const unsigned lo = std::min(f.begin, f.end);
+            const unsigned hi = std::min(std::max(f.begin, f.end), 63u);
+            if (lo > 63) {
+                s.mask = 0;
+            } else {
+                s.shift = static_cast<std::uint8_t>(lo);
+                const unsigned width = hi - lo + 1;
+                s.mask = width >= 64 ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << width) - 1;
+            }
+        }
+        s.xorMask = f.xorPc ? 0xff : 0;
+        const std::uint32_t size = f.tableSize();
+        s.indexMask = static_cast<std::uint8_t>(size - 1);
+        s.base = static_cast<std::uint32_t>(arenaSize_);
+        arenaSize_ += size;
+        steps_.push_back(s);
+    }
+}
+
 FeatureSpec
 FeatureSpec::random(Rng& rng)
 {

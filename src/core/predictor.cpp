@@ -10,50 +10,55 @@ namespace mrp::core {
 MultiperspectivePredictor::MultiperspectivePredictor(
     const cache::CacheGeometry& llc_geom, unsigned cores,
     const MultiperspectiveConfig& cfg)
-    : cfg_(cfg), weightMin_(-(1 << (cfg.weightBits - 1))),
+    : cfg_(cfg), plan_(cfg.features),
+      weightMin_(-(1 << (cfg.weightBits - 1))),
       weightMax_((1 << (cfg.weightBits - 1)) - 1),
       sampling_(llc_geom.sets(),
                 std::min(cfg.sampledSetsPerCore * cores,
                          llc_geom.sets())),
-      samplerSets_(sampling_.sampledSets()),
+      sampler_(static_cast<std::size_t>(sampling_.sampledSets()) *
+               cfg.samplerAssoc),
+      samplerCount_(sampling_.sampledSets(), 0),
+      deadAt_(cfg.samplerAssoc + 1), weights_(plan_.arenaSize(), 0),
       lastMiss_(llc_geom.sets(), 0), lastBlock_(llc_geom.sets(), ~Addr{0})
 {
     fatalIf(cfg.features.empty(), "predictor needs at least one feature");
-    fatalIf(cfg.features.size() > kMaxFeatures,
-            "too many features for the sampler entry layout");
     fatalIf(cfg.samplerAssoc == 0 ||
                 cfg.samplerAssoc > kMaxFeatureAssoc,
             "sampler associativity out of range");
-    for (const auto& f : cfg.features)
-        fatalIf(f.assoc > cfg.samplerAssoc,
+    for (std::size_t f = 0; f < cfg.features.size(); ++f) {
+        const FeatureSpec& spec = cfg.features[f];
+        fatalIf(spec.assoc > cfg.samplerAssoc,
                 "feature associativity exceeds the sampler's: " +
-                    f.toString());
-    for (auto& s : samplerSets_)
-        s.resize(cfg.samplerAssoc);
-    tables_.reserve(cfg.features.size());
-    for (const auto& f : cfg.features)
-        tables_.emplace_back(f.tableSize(), 0);
+                    spec.toString());
+        deadAt_[spec.assoc].push_back(static_cast<std::uint8_t>(f));
+    }
 }
 
 std::size_t
 MultiperspectivePredictor::totalWeights() const
 {
-    std::size_t n = 0;
-    for (const auto& t : tables_)
-        n += t.size();
-    return n;
+    return weights_.size();
 }
 
 double
 MultiperspectivePredictor::meanAbsWeight(std::size_t feature) const
 {
-    const auto& t = tables_[feature];
+    const auto first = weights_.begin() + plan_.base(feature);
+    const std::uint32_t n = plan_.tableSize(feature);
     std::uint64_t sum = 0;
-    for (const std::int8_t w : t)
-        sum += static_cast<std::uint64_t>(w < 0 ? -w : w);
-    return t.empty() ? 0.0
-                     : static_cast<double>(sum) /
-                           static_cast<double>(t.size());
+    for (auto w = first; w != first + n; ++w)
+        sum += static_cast<std::uint64_t>(*w < 0 ? -*w : *w);
+    return static_cast<double>(sum) / static_cast<double>(n);
+}
+
+std::uint32_t
+MultiperspectivePredictor::maxSamplerOccupancy() const
+{
+    std::uint8_t most = 0;
+    for (const std::uint8_t n : samplerCount_)
+        most = std::max(most, n);
+    return most;
 }
 
 namespace {
@@ -75,7 +80,9 @@ symmetricBounds(int lo, int hi)
 std::string
 featureTag(std::size_t f)
 {
-    return f < 10 ? "0" + std::to_string(f) : std::to_string(f);
+    std::string tag = f < 10 ? "0" : "";
+    tag += std::to_string(f);
+    return tag;
 }
 
 } // namespace
@@ -104,36 +111,31 @@ MultiperspectivePredictor::attachTelemetry(
     });
 }
 
-void
-MultiperspectivePredictor::computeIndices(const FeatureInput& in,
-                                          IndexVec& out) const
-{
-    for (std::size_t f = 0; f < cfg_.features.size(); ++f)
-        out[f] = static_cast<std::uint8_t>(
-            featureIndex(cfg_.features[f], in));
-}
-
 int
 MultiperspectivePredictor::sumOf(const IndexVec& idx) const
 {
     int sum = 0;
-    for (std::size_t f = 0; f < cfg_.features.size(); ++f)
-        sum += tables_[f][idx[f]];
+    for (std::size_t f = 0; f < plan_.size(); ++f)
+        sum += weights_[plan_.base(f) + idx[f]];
     return std::clamp(sum, -cfg_.confidenceClamp - 1,
                       cfg_.confidenceClamp);
 }
 
 void
-MultiperspectivePredictor::bump(unsigned feature, std::uint8_t index,
-                                bool dead)
+MultiperspectivePredictor::trainDead(const SamplerEntry* entries,
+                                     std::size_t demoted)
 {
-    std::int8_t& w = tables_[feature][index];
-    if (dead) {
-        if (w < weightMax_)
-            ++w;
-    } else {
-        if (w > weightMin_)
-            --w;
+    // Positions 0..demoted-1 each move down one; a block arriving
+    // exactly at a feature's A is dead for that feature.
+    for (std::size_t q = 0; q < demoted; ++q) {
+        const SamplerEntry& e = entries[q];
+        if (e.confidence >= cfg_.trainingThreshold)
+            continue;
+        for (const std::uint8_t f : deadAt_[q + 1]) {
+            std::int8_t& w = weight(f, e.indices[f]);
+            if (w < weightMax_)
+                ++w;
+        }
     }
 }
 
@@ -144,83 +146,64 @@ MultiperspectivePredictor::samplerAccess(const cache::AccessInfo& info,
                                          int confidence)
 {
     MRP_PROF_SCOPE_HOT("llc.sampler");
-    auto& sset = samplerSets_[sampling_.samplerSetOf(set)];
+    // Each sampler set is a true-LRU stack of samplerAssoc entries.
+    // Keeping only the top samplerAssoc of an unbounded stack loses no
+    // training: a reuse deeper than samplerAssoc trains "live" in no
+    // table (every A <= samplerAssoc) and its demotions reach no A
+    // beyond samplerAssoc, so it trains exactly like the placement of
+    // a block the bounded stack has forgotten.
+    const std::uint32_t s = sampling_.samplerSetOf(set);
+    const std::size_t assoc = cfg_.samplerAssoc;
+    SamplerEntry* sset = &sampler_[static_cast<std::size_t>(s) * assoc];
+    std::uint8_t& count = samplerCount_[s];
     const std::uint16_t tag = policy::SetSampling::partialTag(info.addr);
-    const int theta = cfg_.trainingThreshold;
-    const std::size_t nfeat = cfg_.features.size();
 
-    std::size_t pos = sset.size();
-    for (std::size_t i = 0; i < sset.size(); ++i) {
-        if (sset[i].valid && sset[i].tag == tag) {
+    std::size_t pos = count;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (sset[i].tag == tag) {
             pos = i;
             break;
         }
     }
 
-    if (pos < sset.size()) {
+    if (pos < count) {
         // ---- Reuse at LRU position pos. ----
-        SamplerEntry entry = sset[pos];
-        // Train "live" only in tables whose associativity would still
-        // have held the block (p < A); gate on the stored prediction
-        // per the perceptron rule.
         {
             MRP_PROF_SCOPE_HOT("llc.train");
-            if (entry.confidence > -theta) {
-                for (std::size_t f = 0; f < nfeat; ++f)
-                    if (pos < cfg_.features[f].assoc)
-                        bump(static_cast<unsigned>(f), entry.indices[f],
-                             /*dead=*/false);
+            // Train "live" only in tables whose associativity would
+            // still have held the block (p < A); gate on the stored
+            // prediction per the perceptron rule. Live training goes
+            // first: saturating bumps to one weight do not commute.
+            const SamplerEntry& entry = sset[pos];
+            if (entry.confidence > -cfg_.trainingThreshold) {
+                for (std::size_t f = 0; f < plan_.size(); ++f) {
+                    if (pos >= cfg_.features[f].assoc)
+                        continue;
+                    std::int8_t& w = weight(f, entry.indices[f]);
+                    if (w > weightMin_)
+                        --w;
+                }
             }
             ++trainingEvents_;
-            // The promotion demotes positions 0..pos-1 by one; a block
-            // arriving exactly at a feature's A is dead for that
-            // feature.
-            for (std::size_t q = 0; q < pos; ++q) {
-                const SamplerEntry& demoted = sset[q];
-                if (!demoted.valid || demoted.confidence >= theta)
-                    continue;
-                const std::size_t newpos = q + 1;
-                for (std::size_t f = 0; f < nfeat; ++f)
-                    if (newpos == cfg_.features[f].assoc)
-                        bump(static_cast<unsigned>(f),
-                             demoted.indices[f],
-                             /*dead=*/true);
-            }
+            trainDead(sset, pos);
         }
-        // Refresh the entry and move it to MRU.
-        entry.confidence = static_cast<std::int16_t>(confidence);
-        entry.indices = idx;
-        sset.erase(sset.begin() + static_cast<long>(pos));
-        sset.insert(sset.begin(), entry);
+        // Move the entry to MRU; its fields are refreshed below.
+        std::move_backward(sset, sset + pos, sset + pos + 1);
     } else {
         // ---- Placement: everyone shifts down one position. ----
-        std::size_t valid_count = 0;
-        while (valid_count < sset.size() && sset[valid_count].valid)
-            ++valid_count;
         {
             MRP_PROF_SCOPE_HOT("llc.train");
-            for (std::size_t q = 0; q < valid_count; ++q) {
-                const SamplerEntry& demoted = sset[q];
-                if (demoted.confidence >= theta)
-                    continue;
-                const std::size_t newpos = q + 1;
-                for (std::size_t f = 0; f < nfeat; ++f)
-                    if (newpos == cfg_.features[f].assoc)
-                        bump(static_cast<unsigned>(f),
-                             demoted.indices[f],
-                             /*dead=*/true);
-            }
+            trainDead(sset, count);
             ++trainingEvents_;
         }
-        if (valid_count == sset.size())
-            sset.pop_back(); // true eviction of the LRU entry
-        SamplerEntry entry;
-        entry.valid = true;
-        entry.tag = tag;
-        entry.confidence = static_cast<std::int16_t>(confidence);
-        entry.indices = idx;
-        sset.insert(sset.begin(), entry);
+        // A full set drops its LRU entry.
+        const std::size_t kept = std::min<std::size_t>(count, assoc - 1);
+        std::move_backward(sset, sset + kept, sset + kept + 1);
+        count = static_cast<std::uint8_t>(kept + 1);
     }
+    sset[0].tag = tag;
+    sset[0].confidence = static_cast<std::int16_t>(confidence);
+    sset[0].indices = idx;
 }
 
 int
@@ -240,12 +223,12 @@ MultiperspectivePredictor::observe(const cache::AccessInfo& info,
     in.isBurst = lastBlock_[set] == blk;
 
     IndexVec idx{};
-    computeIndices(in, idx);
+    plan_.indices(in, idx.data());
     const int confidence = sumOf(idx);
 
     if (tel_) {
-        for (std::size_t f = 0; f < cfg_.features.size(); ++f)
-            tel_->featureWeight[f]->record(tables_[f][idx[f]]);
+        for (std::size_t f = 0; f < plan_.size(); ++f)
+            tel_->featureWeight[f]->record(weight(f, idx[f]));
         (hit ? tel_->confidenceHit : tel_->confidenceMiss)
             ->record(confidence);
     }

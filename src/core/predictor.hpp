@@ -39,9 +39,6 @@ struct MultiperspectiveConfig
     int trainingThreshold = 70; //!< perceptron retraining margin
 };
 
-/** Largest feature count the sampler entries are sized for. */
-inline constexpr std::size_t kMaxFeatures = 24;
-
 /** The predictor; usable standalone (ROC) or inside MpppbPolicy. */
 class MultiperspectivePredictor : public policy::ReusePredictor
 {
@@ -64,6 +61,9 @@ class MultiperspectivePredictor : public policy::ReusePredictor
     /** Sampler training events so far (diagnostics). */
     std::uint64_t trainingEvents() const { return trainingEvents_; }
 
+    /** Most entries any sampler set holds (never above samplerAssoc). */
+    std::uint32_t maxSamplerOccupancy() const;
+
     /** Mean |weight| over one feature's table (saturation probe). */
     double meanAbsWeight(std::size_t feature) const;
 
@@ -80,7 +80,6 @@ class MultiperspectivePredictor : public policy::ReusePredictor
 
     struct SamplerEntry
     {
-        bool valid = false;
         std::uint16_t tag = 0;
         std::int16_t confidence = 0;
         IndexVec indices{};
@@ -94,18 +93,29 @@ class MultiperspectivePredictor : public policy::ReusePredictor
         telemetry::Histogram* confidenceMiss = nullptr;
     };
 
-    void computeIndices(const FeatureInput& in, IndexVec& out) const;
+    std::int8_t& weight(std::size_t feature, std::uint8_t index)
+    {
+        return weights_[plan_.base(feature) + index];
+    }
     int sumOf(const IndexVec& idx) const;
-    void bump(unsigned feature, std::uint8_t index, bool dead);
+    void trainDead(const SamplerEntry* entries, std::size_t demoted);
     void samplerAccess(const cache::AccessInfo& info, std::uint32_t set,
                        const IndexVec& idx, int confidence);
 
     MultiperspectiveConfig cfg_;
+    FeaturePlan plan_;
     int weightMin_;
     int weightMax_;
     policy::SetSampling sampling_;
-    std::vector<std::vector<SamplerEntry>> samplerSets_; // MRU-first
-    std::vector<std::vector<std::int8_t>> tables_;
+    /**
+     * Sampler sets, samplerAssoc entries each, MRU first; the first
+     * samplerCount_[s] entries of set s are valid.
+     */
+    std::vector<SamplerEntry> sampler_;
+    std::vector<std::uint8_t> samplerCount_;
+    /** Features by associativity: deadAt_[a] lists those with A == a. */
+    std::vector<std::vector<std::uint8_t>> deadAt_;
+    std::vector<std::int8_t> weights_; //!< every table, plan_.base order
     // Per-LLC-set feature state.
     std::vector<std::uint8_t> lastMiss_;
     std::vector<Addr> lastBlock_;

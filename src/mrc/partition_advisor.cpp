@@ -67,7 +67,7 @@ PartitionAdvice::toJson(const PartitionAdvisorConfig& cfg) const
         const auto& a = tenants[t];
         if (t)
             out += ", ";
-        out += "{" + json::key("benchmark") + json::str(a.benchmark);
+        out += json::firstKey("benchmark") + json::str(a.benchmark);
         out += ", " + json::key("kneeBytes") +
                std::to_string(a.kneeBytes);
         out += ", " + json::key("kneeMissRatio") +

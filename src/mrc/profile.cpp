@@ -45,7 +45,7 @@ profileBody(const MrcProfile& p)
     for (std::size_t i = 0; i < p.points.size(); ++i) {
         if (i)
             out += ", ";
-        out += "{" + json::key("bytes") +
+        out += json::firstKey("bytes") +
                std::to_string(p.points[i].bytes) + ", " +
                json::key("missRatio") +
                json::formatDouble(p.points[i].missRatio) + "}";
@@ -65,7 +65,7 @@ MrcProfile::toJson() const
 std::string
 corpusJson(const std::vector<MrcProfile>& profiles)
 {
-    std::string out = "{" + json::key("schema") + json::str(kMrcSchema) +
+    std::string out = json::firstKey("schema") + json::str(kMrcSchema) +
                       ", " + json::key("profiles") + "[";
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         if (i)

@@ -39,7 +39,7 @@ std::string
 eventHeader(const std::string& name, const std::string& cat,
             unsigned pid, unsigned tid, double ts_us, double dur_us)
 {
-    return "{" + json::key("name") + json::str(name) + ", " +
+    return json::firstKey("name") + json::str(name) + ", " +
            json::key("cat") + json::str(cat) +
            ", \"ph\": \"X\", \"pid\": " + std::to_string(pid) +
            ", \"tid\": " + std::to_string(tid) +
@@ -56,7 +56,7 @@ emitPhases(const prof::PhaseStat& p, double start_us, unsigned pid,
     const double dur_us = p.inclusiveSeconds * 1e6;
     std::string e = eventHeader(p.label, "phase", pid, 1, start_us,
                                 dur_us);
-    e += ", " + json::key("args") + "{" + json::key("count") +
+    e += ", " + json::key("args") + json::firstKey("count") +
          std::to_string(p.count) + ", " +
          json::key("exclusiveSeconds") +
          json::formatDouble(p.exclusiveSeconds) + "}}";
@@ -75,10 +75,10 @@ appendMeta(std::string& out, const std::string& metaName,
 {
     out += first ? "" : ",\n";
     first = false;
-    out += "{" + json::key("name") + json::str(metaName) +
+    out += json::firstKey("name") + json::str(metaName) +
            ", \"ph\": \"M\", \"pid\": " + std::to_string(pid) +
            ", \"tid\": " + std::to_string(tid) + ", " +
-           json::key("args") + "{" + json::key("name") +
+           json::key("args") + json::firstKey("name") +
            json::str(name) + "}}";
 }
 
@@ -334,7 +334,7 @@ FleetCollector::traceJson() const
         std::string e = eventHeader(s.label, "lease", pid, 0,
                                     start_us,
                                     (end - s.startSeconds) * 1e6);
-        e += ", " + json::key("args") + "{" + json::key("jobId") +
+        e += ", " + json::key("args") + json::firstKey("jobId") +
              std::to_string(s.jobId);
         e += ", " + json::key("attempt") + std::to_string(s.attempt);
         e += ", " + json::key("trace") + json::str(hex16(trace_id_));
@@ -358,12 +358,12 @@ FleetCollector::traceJson() const
         for (const double b : s.beats) {
             const double ts = b * 1e6;
             std::string hb =
-                "{" + json::key("name") + json::str("hb") + ", " +
+                json::firstKey("name") + json::str("hb") + ", " +
                 json::key("cat") + json::str("lease") +
                 ", \"ph\": \"i\", \"s\": \"t\", \"pid\": " +
                 std::to_string(pid) +
                 ", \"tid\": 0, \"ts\": " + json::formatDouble(ts) +
-                ", " + json::key("args") + "{" + json::key("span") +
+                ", " + json::key("args") + json::firstKey("span") +
                 json::str(hex16(s.spanId)) + "}}";
             events.push_back({ts, pid, 0, seq++, std::move(hb)});
         }
@@ -422,7 +422,7 @@ FleetCollector::metricsJson(
     for (std::size_t i = 0; i < rep.workers.size(); ++i) {
         const StragglerEntry& e = rep.workers[i];
         out += i ? ",\n      " : "\n      ";
-        out += "{" + json::key("worker") + std::to_string(e.worker);
+        out += json::firstKey("worker") + std::to_string(e.worker);
         out += ", " + json::key("jobs") + std::to_string(e.jobs);
         out += ", " + json::key("medianServiceMs") +
                json::formatDouble(e.medianServiceMs);

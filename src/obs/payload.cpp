@@ -33,7 +33,7 @@ singleLine(const std::string& text)
 std::string
 workerObsJson(const WorkerRunObs& o)
 {
-    std::string out = "{" + json::key("label") + json::str(o.label);
+    std::string out = json::firstKey("label") + json::str(o.label);
     out += ", " + json::key("wallSeconds") +
            json::formatDouble(o.wallSeconds);
     out += ", " + json::key("accesses") + std::to_string(o.accesses);

@@ -24,11 +24,16 @@ LruPolicy::onHit(const cache::AccessInfo&, std::uint32_t set,
 std::uint32_t
 LruPolicy::victimWay(const cache::AccessInfo&, std::uint32_t set)
 {
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
+    const std::uint64_t* stamps =
+        &stamps_[static_cast<std::size_t>(set) * ways_];
     std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < ways_; ++w)
-        if (stamps_[base + w] < stamps_[base + victim])
+    std::uint64_t oldest = stamps[0];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        if (stamps[w] < oldest) {
+            oldest = stamps[w];
             victim = w;
+        }
+    }
     return victim;
 }
 

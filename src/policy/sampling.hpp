@@ -38,7 +38,9 @@ class SetSampling
     std::uint32_t
     samplerSetOf(std::uint32_t llc_set) const
     {
-        panicIf(!sampled(llc_set), "set is not sampled");
+        // Not panicIf: it would build the message on every call.
+        if (!sampled(llc_set))
+            panic("set is not sampled");
         return llc_set / ratio_;
     }
 

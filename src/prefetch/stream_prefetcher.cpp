@@ -1,6 +1,6 @@
 #include "prefetch/stream_prefetcher.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 
 #include "prof/profiler.hpp"
 #include "util/logging.hpp"
@@ -8,7 +8,8 @@
 namespace mrp::prefetch {
 
 StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig& cfg)
-    : cfg_(cfg), streams_(cfg.streams)
+    : cfg_(cfg), lastBlock_(cfg.streams, kNoBlock),
+      lastUse_(cfg.streams, 0), streams_(cfg.streams)
 {
     fatalIf(cfg.streams == 0, "prefetcher needs at least one stream");
 }
@@ -16,8 +17,9 @@ StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig& cfg)
 void
 StreamPrefetcher::reset()
 {
-    for (auto& s : streams_)
-        s = Stream{};
+    std::fill(lastBlock_.begin(), lastBlock_.end(), kNoBlock);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    std::fill(streams_.begin(), streams_.end(), Stream{});
     useClock_ = 0;
     if (tracking_)
         enableTracking(); // restart the tracked period cleanly
@@ -82,64 +84,57 @@ StreamPrefetcher::onL1Miss(Addr addr, std::vector<Addr>& out)
         }
     }
 
-    // Try to match an existing stream within the window.
-    Stream* match = nullptr;
-    for (auto& s : streams_) {
-        if (!s.valid)
-            continue;
-        const Addr ref = s.lastBlock;
+    // A stream matches when 0 < |blk - lastBlock| <= window: the
+    // unsigned delta - 1 wraps the zero distance out of range, and an
+    // invalid stream's kNoBlock is out of range of every block, so one
+    // compare per stream finds the first match in index order.
+    const std::size_t n = lastBlock_.size();
+    std::size_t m = 0;
+    for (; m < n; ++m) {
+        const Addr ref = lastBlock_[m];
         const Addr delta = blk > ref ? blk - ref : ref - blk;
-        if (delta != 0 && delta <= cfg_.window) {
-            match = &s;
+        if (delta - 1 < cfg_.window)
             break;
-        }
     }
-
-    if (!match) {
-        // Allocate a stream (LRU replacement among the 16 entries).
-        Stream* lru = &streams_[0];
-        for (auto& s : streams_) {
-            if (!s.valid) {
-                lru = &s;
-                break;
-            }
-            if (s.lastUse < lru->lastUse)
-                lru = &s;
-        }
-        *lru = Stream{};
-        lru->valid = true;
-        lru->startBlock = blk;
-        lru->lastBlock = blk;
-        lru->head = blk;
-        lru->lastUse = useClock_;
+    if (m == n) {
+        // Allocate a stream: the first invalid one, else the first
+        // least recently used (invalid streams have lastUse 0).
+        std::size_t lru = 0;
+        for (std::size_t s = 1; s < lastUse_.size(); ++s)
+            if (lastUse_[s] < lastUse_[lru])
+                lru = s;
+        lastBlock_[lru] = blk;
+        lastUse_[lru] = useClock_;
+        streams_[lru] = Stream{blk, 0};
         return;
     }
 
-    match->lastUse = useClock_;
-    if (match->direction == 0) {
+    Stream& st = streams_[m];
+    lastUse_[m] = useClock_;
+    if (st.direction == 0) {
         // Second miss decides the direction (paper: at most two misses).
-        match->direction = blk > match->lastBlock ? +1 : -1;
-        match->head = blk;
+        st.direction = blk > lastBlock_[m] ? +1 : -1;
+        st.head = blk;
     }
-    match->lastBlock = blk;
+    lastBlock_[m] = blk;
 
     // Keep the prefetch head ahead of the miss in the stream direction.
-    const int dir = match->direction;
+    const int dir = st.direction;
     const auto ahead_of = [dir](Addr a, Addr b) {
         return dir > 0 ? a > b : a < b;
     };
-    if (!ahead_of(match->head, blk))
-        match->head = blk;
+    if (!ahead_of(st.head, blk))
+        st.head = blk;
 
     const Addr limit = dir > 0 ? blk + cfg_.distance : blk - cfg_.distance;
     unsigned emitted = 0;
-    while (emitted < cfg_.degree && ahead_of(limit, match->head)) {
-        match->head = dir > 0 ? match->head + 1 : match->head - 1;
-        out.push_back(match->head << kBlockShift);
+    while (emitted < cfg_.degree && ahead_of(limit, st.head)) {
+        st.head = dir > 0 ? st.head + 1 : st.head - 1;
+        out.push_back(st.head << kBlockShift);
         ++issued_;
         ++emitted;
         if (tracking_)
-            filter_[match->head & (kFilterSlots - 1)] = match->head;
+            filter_[st.head & (kFilterSlots - 1)] = st.head;
     }
 }
 

@@ -77,14 +77,11 @@ class StreamPrefetcher
     double coverage() const;
 
   private:
+    /** Direction and prefetch head of one stream. */
     struct Stream
     {
-        bool valid = false;
-        Addr startBlock = 0;  //!< block that allocated the stream
-        Addr lastBlock = 0;   //!< most recent miss matched to it
-        Addr head = 0;        //!< next block to prefetch
-        int direction = 0;    //!< 0 until confirmed, else +1/-1
-        std::uint64_t lastUse = 0;
+        Addr head = 0;     //!< next block to prefetch
+        int direction = 0; //!< 0 until confirmed, else +1/-1
     };
 
     /** Direct-mapped recently-prefetched filter (block addresses). */
@@ -92,6 +89,11 @@ class StreamPrefetcher
     static constexpr Addr kNoBlock = ~Addr{0};
 
     StreamPrefetcherConfig cfg_;
+    // Per stream, cfg_.streams each. An invalid stream's lastBlock is
+    // kNoBlock — farther than any window from every block address —
+    // and its lastUse is 0, below every valid stream's.
+    std::vector<Addr> lastBlock_; //!< most recent miss matched to it
+    std::vector<std::uint64_t> lastUse_;
     std::vector<Stream> streams_;
     std::uint64_t useClock_ = 0;
     std::uint64_t issued_ = 0;

@@ -159,8 +159,10 @@ Broker::run(const std::vector<runner::RunRequest>& batch,
             continue;
         reqJson.emplace(i, requestJson(batch[i]));
     }
-    for (const auto& [id, j] : reqJson)
-        fp_text += "\n" + std::to_string(id) + " " + j;
+    for (const auto& [id, j] : reqJson) {
+        fp_text += '\n';
+        fp_text += std::to_string(id) + " " + j;
+    }
     WorkQueue queue(cfg_.queuePath,
                     hex8(Crc32::of(fp_text.data(), fp_text.size())));
     for (const auto& [id, j] : reqJson)
@@ -461,6 +463,16 @@ Broker::run(const std::vector<runner::RunRequest>& batch,
             if (col)
                 col->leaseGranted(s.index, *pick, s.spanId, attempt,
                                   labelOf(*pick));
+            // Chaos: a scripted external SIGKILL of the Nth lease's
+            // holder, as the CI smoke job does with pkill. It lands
+            // before the job line is sent, so the worker always dies
+            // holding the lease; sent after it, a short job could
+            // finish before the signal and the kill would miss it.
+            if (cfg_.killWorkerAfterLeases != 0 &&
+                leases_granted == cfg_.killWorkerAfterLeases) {
+                s.child.kill(SIGKILL);
+                continue;
+            }
             try {
                 s.child.writeLine(
                     jobLine(*pick, {trace_id, s.spanId},
@@ -470,11 +482,6 @@ Broker::run(const std::vector<runner::RunRequest>& batch,
                            "worker pipe broke during dispatch");
                 continue;
             }
-            // Chaos: a scripted external SIGKILL right after the
-            // Nth lease, as the CI smoke job does with pkill.
-            if (cfg_.killWorkerAfterLeases != 0 &&
-                leases_granted == cfg_.killWorkerAfterLeases)
-                s.child.kill(SIGKILL);
         }
 
         if (queue.allDone())

@@ -69,7 +69,7 @@ reqArr(const Value& v, std::string_view key, const std::string& what)
 std::string
 mpppbJson(const core::MpppbConfig& c)
 {
-    std::string out = "{" + json::key("features") + "[";
+    std::string out = json::firstKey("features") + "[";
     for (std::size_t i = 0; i < c.predictor.features.size(); ++i) {
         if (i)
             out += ", ";
@@ -179,7 +179,7 @@ std::string
 hierarchyJson(const cache::HierarchyConfig& h)
 {
     std::string out =
-        "{" + json::key("cores") + std::to_string(h.cores);
+        json::firstKey("cores") + std::to_string(h.cores);
     out += ", " + json::key("l1Bytes") + std::to_string(h.l1Bytes);
     out += ", " + json::key("l1Ways") + std::to_string(h.l1Ways);
     out += ", " + json::key("l2Bytes") + std::to_string(h.l2Bytes);
@@ -237,7 +237,7 @@ std::string
 driverJson(const sim::DriverConfig& d)
 {
     std::string out =
-        "{" + json::key("hierarchy") + hierarchyJson(d.hierarchy);
+        json::firstKey("hierarchy") + hierarchyJson(d.hierarchy);
     out += ", " + json::key("warmupFraction") +
            json::formatDouble(d.warmupFraction);
     out += ", " + json::key("warmupInstructions") +
@@ -259,11 +259,11 @@ driverFromJson(const Value& v, const std::string& what,
 std::string
 tenancyJson(const tenant::TenancyConfig& t)
 {
-    std::string out = "{" + json::key("tenants") + "[";
+    std::string out = json::firstKey("tenants") + "[";
     for (std::size_t i = 0; i < t.tenants.size(); ++i) {
         if (i)
             out += ", ";
-        out += "{" + json::key("ways") +
+        out += json::firstKey("ways") +
                std::to_string(t.tenants[i].ways) + ", " +
                json::key("sloMpki") +
                json::formatDouble(t.tenants[i].sloMpki) + "}";
@@ -400,11 +400,11 @@ requestJson(const runner::RunRequest& request)
             "telemetry-enabled runs cannot be queued: RunTelemetry "
             "has no wire form (run them in-process)");
 
-    std::string out = "{" + json::key("mode") +
+    std::string out = json::firstKey("mode") +
                       json::str(request.isMultiCore() ? "multi"
                                                       : "single");
     out += ", " + json::key("label") + json::str(request.label);
-    out += ", " + json::key("policy") + "{" + json::key("name") +
+    out += ", " + json::key("policy") + json::firstKey("name") +
            json::str(request.policy.name);
     if (request.policy.mpppbConfig)
         out += ", " + json::key("mpppb") +

@@ -12,7 +12,7 @@ namespace {
 std::string
 headerJson(const std::string& fingerprint)
 {
-    return "{" + json::key("type") + json::str("header") + ", " +
+    return json::firstKey("type") + json::str("header") + ", " +
            json::key("schema") +
            std::to_string(journal::kQueueSchemaVersion) + ", " +
            json::key("fingerprint") + json::str(fingerprint) + "}";
@@ -148,7 +148,7 @@ WorkQueue::ensureEnqueued(std::uint64_t id,
                     "delete the queue file)");
         return;
     }
-    file_->append("{" + json::key("type") + json::str("enqueue") +
+    file_->append(json::firstKey("type") + json::str("enqueue") +
                   ", " + json::key("id") + std::to_string(id) +
                   ", " + json::key("request") +
                   json::str(request_json) + "}");
@@ -166,7 +166,7 @@ WorkQueue::lease(std::uint64_t id)
             "leasing job " + std::to_string(id) +
                 " which is not pending");
     ++j.attempts;
-    file_->append("{" + json::key("type") + json::str("lease") +
+    file_->append(json::firstKey("type") + json::str("lease") +
                   ", " + json::key("id") + std::to_string(id) +
                   ", " + json::key("attempt") +
                   std::to_string(j.attempts) + "}");
@@ -182,7 +182,7 @@ WorkQueue::requeue(std::uint64_t id, const std::string& reason,
     fatalIf(j.state != JobState::Leased, ErrorCode::Internal,
             "requeueing job " + std::to_string(id) +
                 " which is not leased");
-    file_->append("{" + json::key("type") + json::str("requeue") +
+    file_->append(json::firstKey("type") + json::str("requeue") +
                   ", " + json::key("id") + std::to_string(id) +
                   ", " + json::key("reason") + json::str(reason) +
                   ", " + json::key("code") + json::str(
@@ -197,7 +197,7 @@ WorkQueue::complete(std::uint64_t id,
     QueueJob& j = mutableJob(id);
     fatalIf(j.state == JobState::Done, ErrorCode::Internal,
             "completing job " + std::to_string(id) + " twice");
-    file_->append("{" + json::key("type") + json::str("complete") +
+    file_->append(json::firstKey("type") + json::str("complete") +
                   ", " + json::key("id") + std::to_string(id) +
                   ", " + json::key("result") +
                   json::str(result_json) + "}");

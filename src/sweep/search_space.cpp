@@ -45,7 +45,8 @@ SearchSpace::genes() const
     std::vector<GeneSpec> out;
     out.reserve(genomeSize());
     for (unsigned s = 0; s < featureSlots; ++s) {
-        const std::string p = "f" + std::to_string(s) + ".";
+        std::string p = "f";
+        p += std::to_string(s) + ".";
         out.push_back({p + "enabled", 0, 1});
         out.push_back({p + "kind", 0, kKindCount - 1});
         out.push_back({p + "assoc", 1,

@@ -33,7 +33,7 @@ class History
     void
     push(const T& v)
     {
-        head_ = (head_ + 1) % buf_.size();
+        head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
         buf_[head_] = v;
     }
 
@@ -41,8 +41,12 @@ class History
     const T&
     recent(std::size_t i) const
     {
-        panicIf(i >= buf_.size(), "History::recent out of range");
-        return buf_[(head_ + buf_.size() - i) % buf_.size()];
+        // A plain branch: panicIf would build its message string on
+        // every call, even when the check passes.
+        if (i >= buf_.size())
+            panic("History::recent out of range");
+        // head_ < size and i < size, so one conditional wrap suffices.
+        return buf_[head_ >= i ? head_ - i : head_ + buf_.size() - i];
     }
 
     std::size_t capacity() const { return buf_.size(); }

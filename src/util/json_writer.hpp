@@ -67,14 +67,35 @@ escape(const std::string& s)
 inline std::string
 key(const std::string& name)
 {
-    return "\"" + escape(name) + "\": ";
+    const std::string body = escape(name);
+    std::string out;
+    out.reserve(body.size() + 4);
+    out += '"';
+    out += body;
+    out += "\": ";
+    return out;
+}
+
+/** `{"key": ` — an object's opening brace and its first member key. */
+inline std::string
+firstKey(const std::string& name)
+{
+    std::string out = "{";
+    out += key(name);
+    return out;
 }
 
 /** Quoted, escaped string value. */
 inline std::string
 str(const std::string& value)
 {
-    return "\"" + escape(value) + "\"";
+    const std::string body = escape(value);
+    std::string out;
+    out.reserve(body.size() + 2);
+    out += '"';
+    out += body;
+    out += '"';
+    return out;
 }
 
 } // namespace mrp::json

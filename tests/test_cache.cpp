@@ -47,7 +47,7 @@ TEST(BasicCacheTest, HitAfterFill)
 {
     BasicCache c("t", 8 * 1024, 8);
     EXPECT_FALSE(c.access(0x1000, false));
-    c.fill(0x1000, false, false);
+    c.fill(0x1000, false);
     EXPECT_TRUE(c.access(0x1000, false));
     EXPECT_TRUE(c.access(0x103F, false)); // same block
     EXPECT_FALSE(c.access(0x1040, false)); // next block
@@ -62,10 +62,10 @@ TEST(BasicCacheTest, EvictsTrueLru)
     const std::uint32_t sets = c.geometry().sets();
     ASSERT_EQ(sets, 1u);
     for (std::uint64_t t = 0; t < 4; ++t)
-        c.fill(addrOf(0, t, 1), false, false);
+        c.fill(addrOf(0, t, 1), false);
     // Touch 0 to make 1 the LRU.
     EXPECT_TRUE(c.access(addrOf(0, 0, 1), false));
-    const VictimBlock v = c.fill(addrOf(0, 9, 1), false, false);
+    const VictimBlock v = c.fill(addrOf(0, 9, 1), false);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.blockAddress, addrOf(0, 1, 1));
     EXPECT_FALSE(c.contains(addrOf(0, 1, 1)));
@@ -75,10 +75,10 @@ TEST(BasicCacheTest, EvictsTrueLru)
 TEST(BasicCacheTest, DirtyTracking)
 {
     BasicCache c("t", 256, 4);
-    c.fill(0x0, false, false);
+    c.fill(0x0, false);
     EXPECT_TRUE(c.access(0x0, true)); // write marks dirty
     for (std::uint64_t t = 1; t <= 4; ++t)
-        c.fill(addrOf(0, t, 1), false, false);
+        c.fill(addrOf(0, t, 1), false);
     // The original block was evicted dirty.
     EXPECT_EQ(c.stats().dirtyEvictions, 1u);
 }
@@ -87,7 +87,7 @@ TEST(BasicCacheTest, MarkDirtyAndInvalidate)
 {
     BasicCache c("t", 256, 4);
     EXPECT_FALSE(c.markDirty(0x0));
-    c.fill(0x0, false, false);
+    c.fill(0x0, false);
     EXPECT_TRUE(c.markDirty(0x0));
     const VictimBlock v = c.invalidate(0x0);
     EXPECT_TRUE(v.valid);
@@ -100,11 +100,11 @@ TEST(BasicCacheTest, TouchRefreshesWithoutStats)
 {
     BasicCache c("t", 256, 4);
     for (std::uint64_t t = 0; t < 4; ++t)
-        c.fill(addrOf(0, t, 1), false, false);
+        c.fill(addrOf(0, t, 1), false);
     const auto demand_before = c.stats().demandAccesses;
     EXPECT_TRUE(c.touch(addrOf(0, 0, 1)));
     EXPECT_EQ(c.stats().demandAccesses, demand_before);
-    const VictimBlock v = c.fill(addrOf(0, 7, 1), false, false);
+    const VictimBlock v = c.fill(addrOf(0, 7, 1), false);
     EXPECT_EQ(v.blockAddress, addrOf(0, 1, 1)); // 0 was refreshed
 }
 

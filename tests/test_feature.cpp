@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/feature.hpp"
 #include "core/feature_sets.hpp"
 #include "util/bitfield.hpp"
@@ -139,6 +141,134 @@ TEST(FeatureIndexTest, PcDepthReadsHistory)
               foldXor(bits(0x400200, 0, 16), 8));
     EXPECT_EQ(featureIndex(w2, in),
               foldXor(bits(0x400100, 0, 16), 8));
+}
+
+// ---- FeaturePlan: the compiled hot path against featureIndex ----
+
+/** A random access; null ctx about one time in eight. */
+FeatureInput
+randomInput(Rng& rng, const cache::CoreContext& ctx)
+{
+    FeatureInput in;
+    in.pc = rng.chance(0.5) ? rng.next()
+                            : 0x400000 + 4 * rng.below(1 << 20);
+    in.addr = rng.chance(0.5) ? rng.next()
+                              : rng.next() & ((1ull << 48) - 1);
+    in.ctx = rng.chance(0.125) ? nullptr : &ctx;
+    in.isInsert = rng.chance(0.5);
+    in.lastMiss = rng.chance(0.5);
+    in.isBurst = rng.chance(0.5);
+    return in;
+}
+
+/** The plan must agree with featureIndex on every feature. */
+void
+expectPlanMatches(const std::vector<FeatureSpec>& specs, Rng& rng,
+                  const cache::CoreContext& ctx, int inputs)
+{
+    const FeaturePlan plan(specs);
+    ASSERT_EQ(plan.size(), specs.size());
+    std::size_t base = 0;
+    for (std::size_t f = 0; f < specs.size(); ++f) {
+        EXPECT_EQ(plan.base(f), base);
+        EXPECT_EQ(plan.tableSize(f), specs[f].tableSize());
+        base += specs[f].tableSize();
+    }
+    EXPECT_EQ(plan.arenaSize(), base);
+
+    std::array<std::uint8_t, kMaxFeatures> got{};
+    for (int i = 0; i < inputs; ++i) {
+        const FeatureInput in = randomInput(rng, ctx);
+        plan.indices(in, got.data());
+        for (std::size_t f = 0; f < specs.size(); ++f)
+            ASSERT_EQ(got[f], featureIndex(specs[f], in))
+                << specs[f].toString() << " pc=" << in.pc
+                << " addr=" << in.addr << " ctx=" << (in.ctx != nullptr);
+    }
+}
+
+cache::CoreContext
+randomContext(Rng& rng)
+{
+    cache::CoreContext ctx;
+    for (int i = 0; i < 50; ++i)
+        ctx.notePc(rng.next());
+    return ctx;
+}
+
+TEST(FeaturePlanTest, MatchesFeatureIndexOnRandomSpecs)
+{
+    Rng rng(21);
+    const cache::CoreContext ctx = randomContext(rng);
+    for (int trial = 0; trial < 400; ++trial) {
+        std::vector<FeatureSpec> specs;
+        const std::size_t n = 1 + rng.below(kMaxFeatures);
+        for (std::size_t f = 0; f < n; ++f) {
+            FeatureSpec spec = FeatureSpec::random(rng);
+            for (std::uint64_t k = rng.below(4); k > 0; --k)
+                spec = spec.perturbed(rng);
+            specs.push_back(spec);
+        }
+        expectPlanMatches(specs, rng, ctx, 25);
+    }
+}
+
+TEST(FeaturePlanTest, MatchesFeatureIndexOnEdgeSpecs)
+{
+    Rng rng(22);
+    const cache::CoreContext ctx = randomContext(rng);
+    const unsigned kHuge = ~0u;
+    std::vector<FeatureSpec> specs;
+    for (const char* text :
+         {// Depth 0 reads the access PC; deep history and a null ctx
+          // fall back to it.
+          "pc(4,0,63,0,0)", "pc(4,0,63,17,0)", "pc(4,2,40,1,1)",
+          // Reversed B/E.
+          "pc(9,40,3,5,0)", "address(3,30,6,1)", "offset(7,5,0,0)",
+          "offset(7,4,1,1)",
+          // Ranges reaching and passing bit 63.
+          "address(2,60,63,0)", "address(2,60,90,0)",
+          "address(2,64,70,0)", "address(2,90,64,1)",
+          "offset(5,3,200,0)", "offset(5,70,80,0)", "pc(6,63,63,3,0)",
+          // X on the narrow kinds.
+          "bias(16,1)", "burst(6,1)", "insert(17,1)", "lastmiss(9,1)",
+          "offset(15,0,5,1)", "offset(15,6,9,1)"})
+        specs.push_back(FeatureSpec::parse(text));
+    // Unsigned extremes the text form cannot spell.
+    FeatureSpec wide = FeatureSpec::parse("offset(5,0,0,0)");
+    wide.end = kHuge;
+    specs.push_back(wide);
+    wide.begin = kHuge;
+    wide.end = 0;
+    specs.push_back(wide);
+    wide.kind = FeatureKind::Address;
+    specs.push_back(wide);
+    ASSERT_LE(specs.size(), kMaxFeatures);
+    expectPlanMatches(specs, rng, ctx, 4000);
+
+    // The same specs one at a time, each as its own plan.
+    for (const FeatureSpec& f : specs)
+        expectPlanMatches({f}, rng, ctx, 200);
+}
+
+TEST(FeaturePlanTest, SharesHistorySourcesAcrossFeatures)
+{
+    // Several features reading the same and different depths.
+    Rng rng(23);
+    const cache::CoreContext ctx = randomContext(rng);
+    expectPlanMatches(
+        {FeatureSpec::parse("pc(4,0,15,3,0)"),
+         FeatureSpec::parse("pc(4,8,31,3,1)"),
+         FeatureSpec::parse("pc(4,0,15,17,0)"),
+         FeatureSpec::parse("pc(4,0,15,1,0)"),
+         FeatureSpec::parse("pc(4,4,12,3,0)")},
+        rng, ctx, 2000);
+}
+
+TEST(FeaturePlanTest, RejectsTooManyFeatures)
+{
+    const std::vector<FeatureSpec> specs(kMaxFeatures + 1);
+    EXPECT_THROW(FeaturePlan{specs}, FatalError);
 }
 
 TEST(PublishedSetsTest, AllThreeHaveSixteenFeatures)

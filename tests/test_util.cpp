@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "util/bitfield.hpp"
 #include "util/hash.hpp"
@@ -165,6 +166,37 @@ TEST(HistoryTest, MostRecentFirst)
     EXPECT_EQ(h.recent(0), 5);
     EXPECT_EQ(h.recent(3), 2);
     EXPECT_THROW(h.recent(4), PanicError);
+}
+
+TEST(HistoryTest, EveryDepthCorrectAcrossManyWraps)
+{
+    // Against the full push log, at every capacity the PC history
+    // could plausibly use and across hundreds of ring wraps.
+    for (const std::size_t cap : {1u, 2u, 3u, 7u, 17u, 18u, 19u}) {
+        History<std::uint64_t> h(cap, 7);
+        std::vector<std::uint64_t> log;
+        for (std::uint64_t v = 100; v < 100 + 400 * cap; ++v) {
+            h.push(v);
+            log.push_back(v);
+            for (std::size_t i = 0; i < cap; ++i) {
+                const std::uint64_t want =
+                    i < log.size() ? log[log.size() - 1 - i] : 7;
+                ASSERT_EQ(h.recent(i), want) << "cap " << cap << " i " << i;
+            }
+            ASSERT_THROW(h.recent(cap), PanicError);
+        }
+    }
+}
+
+TEST(Bitfield, Fold8MatchesFoldXor)
+{
+    Rng rng(5);
+    EXPECT_EQ(fold8(0), 0u);
+    EXPECT_EQ(fold8(~std::uint64_t{0}), foldXor(~std::uint64_t{0}, 8));
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t v = rng.next() >> rng.below(64);
+        ASSERT_EQ(fold8(v), foldXor(v, 8)) << v;
+    }
 }
 
 TEST(MathUtil, GeomeanAndMean)
