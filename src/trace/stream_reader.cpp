@@ -9,12 +9,9 @@
 #include <cstring>
 #include <fstream>
 #include <new>
-#include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "prof/profiler.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/wire_format.hpp"
 #include "util/crc32.hpp"
 #include "util/fault_injection.hpp"
@@ -42,29 +39,29 @@ hex32(std::uint32_t v)
 }
 
 /**
- * Bounds-checked cursor over either a stream or a memory range —
- * unifies header/chunk parsing across the buffered, mmap, and
- * monolithic read paths. Every read is validated against the bytes
- * remaining before it happens, so corrupt length fields fail with the
+ * Bounds-checked cursor over a file of @p size bytes, starting at
+ * byte @p at, read from either a stream (already positioned at @p at)
+ * or a whole-file memory range — one header/chunk parser serves both
+ * FileModes. Every read is validated against the bytes remaining
+ * before it happens, so corrupt length fields fail with the file
  * offset where the data ran dry instead of driving allocations.
  */
 class ByteCursor
 {
   public:
-    ByteCursor(std::istream& is, std::uint64_t avail)
-        : is_(&is), remaining_(avail)
+    ByteCursor(std::istream& is, std::uint64_t size, std::uint64_t at)
+        : is_(&is), offset_(at), remaining_(size - at)
     {
     }
-    ByteCursor(const unsigned char* mem, std::uint64_t avail)
-        : mem_(mem), remaining_(avail)
+    ByteCursor(const unsigned char* mem, std::uint64_t size,
+               std::uint64_t at)
+        : mem_(mem), offset_(at), remaining_(size - at)
     {
     }
 
+    /** File offset of the next unread byte. */
     std::uint64_t offset() const { return offset_; }
     std::uint64_t remaining() const { return remaining_; }
-
-    /** Memory-mode only: pointer to the current position. */
-    const unsigned char* ptr() const { return mem_ + offset_; }
 
     void
     read(void* dst, std::uint64_t size, const char* what)
@@ -118,18 +115,8 @@ class ByteCursor
 
     std::istream* is_ = nullptr;
     const unsigned char* mem_ = nullptr;
-    std::uint64_t offset_ = 0;
+    std::uint64_t offset_;
     std::uint64_t remaining_;
-};
-
-/** Decoded v3 header. */
-struct V3Header
-{
-    std::string name;
-    std::uint64_t instructions = 0;
-    std::uint64_t recordCount = 0;
-    std::uint32_t chunkCapacity = 0;
-    std::uint64_t payloadStart = 0;
 };
 
 /**
@@ -144,7 +131,7 @@ parseV3Header(ByteCursor& in)
     fatalIf(std::memcmp(magic, kMagic, sizeof(kMagic)) != 0,
             ErrorCode::CorruptInput, "not a trace stream (bad magic)");
     const auto version = in.get<std::uint32_t>("version");
-    fatalIf(version != 3, ErrorCode::CorruptInput,
+    fatalIf(version != kVersion, ErrorCode::CorruptInput,
             "expected a v3 chunked trace, found version " +
                 std::to_string(version));
 
@@ -201,7 +188,7 @@ v3HeaderBytes(const std::string& name, std::uint64_t instructions,
     std::string buf;
     buf.reserve(v3PayloadStart(name.size()));
     buf.append(kMagic, sizeof(kMagic));
-    put(buf, static_cast<std::uint32_t>(3));
+    put(buf, kVersion);
     put(buf, instructions);
     put(buf, record_count);
     put(buf, static_cast<std::uint32_t>(name.size()));
@@ -246,15 +233,13 @@ struct ChunkHead
 /**
  * Read one chunk header from @p in and validate its record count
  * against the header totals and the bytes physically remaining.
- * @p base is the absolute file offset of the cursor's origin, so
- * diagnostics can name the real position.
  */
 ChunkHead
 readChunkHead(ByteCursor& in, const V3Header& h,
-              std::uint64_t records_served, std::uint64_t base)
+              std::uint64_t records_served)
 {
     ChunkHead c;
-    c.fileOffset = base + in.offset();
+    c.fileOffset = in.offset();
     c.count = in.get<std::uint32_t>("chunk record count");
     c.crc = in.get<std::uint32_t>("chunk CRC");
     c.instructions = in.get<std::uint64_t>("chunk instruction count");
@@ -296,7 +281,7 @@ validateChunkPayload(const ChunkHead& c, const Record* records)
                 ": instruction count does not match its records");
 }
 
-/** End-of-stream totals check shared by every v3 reader. */
+/** End-of-stream totals check. */
 void
 validateTotals(const V3Header& h, std::uint64_t records_served,
                InstCount insts_served, std::uint64_t trailing)
@@ -323,7 +308,8 @@ validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
                 std::to_string(h.recordCount) +
                 " records but only " +
                 std::to_string(payload_avail) +
-                " payload byte(s) remain");
+                " payload byte(s) remain at offset " +
+                std::to_string(h.payloadStart));
     const std::uint64_t chunks =
         (h.recordCount + h.chunkCapacity - 1) / h.chunkCapacity;
     fatalIf(h.recordCount * sizeof(Record) +
@@ -334,77 +320,11 @@ validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
                 " chunk(s) of " + std::to_string(h.recordCount) +
                 " records do not fit in " +
                 std::to_string(payload_avail) +
-                " payload byte(s)");
+                " payload byte(s) at offset " +
+                std::to_string(h.payloadStart));
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Monolithic v3 bridge (writeTrace/readTrace dispatch here for V3).
-
-void
-writeChunkedTrace(std::ostream& os, const Trace& trace,
-                  std::size_t chunk_records)
-{
-    const auto capacity = static_cast<std::uint32_t>(std::clamp(
-        chunk_records, std::size_t{1}, std::size_t{kMaxChunkRecords}));
-    const auto& records = trace.records();
-
-    static_assert(sizeof(Record) == 16, "record layout changed");
-    const std::uint64_t chunks =
-        (records.size() + capacity - 1) / capacity;
-    std::string buf = v3HeaderBytes(
-        trace.name(), static_cast<std::uint64_t>(trace.instructions()),
-        records.size(), capacity);
-    buf.reserve(buf.size() + records.size() * sizeof(Record) +
-                chunks * kChunkHeaderBytes);
-    for (std::size_t pos = 0; pos < records.size(); pos += capacity) {
-        const auto n = static_cast<std::uint32_t>(
-            std::min<std::size_t>(capacity, records.size() - pos));
-        const std::uint64_t insts = sumCounts(records.data() + pos, n);
-        put(buf, n);
-        put(buf, chunkCrc(n, insts, records.data() + pos));
-        put(buf, insts);
-        buf.append(
-            reinterpret_cast<const char*>(records.data() + pos),
-            n * sizeof(Record));
-    }
-
-    fault::checkCorrupt("trace_io.write", buf.data(), buf.size());
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    fatalIf(!os, ErrorCode::Io, "failed writing trace stream");
-}
-
-Trace
-readChunkedTrace(std::istream& is, std::uint64_t available)
-{
-    ByteCursor in(is, available);
-    const V3Header h = parseV3Header(in);
-    validatePayloadFits(h, in.remaining());
-
-    std::vector<Record> records;
-    try {
-        fault::checkAlloc("trace_io.read.alloc");
-        records.resize(h.recordCount);
-    } catch (const std::bad_alloc&) {
-        fatal(ErrorCode::Resource,
-              "out of memory reading trace (" +
-                  std::to_string(h.recordCount) + " records)");
-    }
-
-    std::uint64_t served = 0;
-    InstCount insts = 0;
-    while (served < h.recordCount) {
-        const ChunkHead c = readChunkHead(in, h, served, 0);
-        in.read(records.data() + served, c.count * sizeof(Record),
-                "chunk records");
-        validateChunkPayload(c, records.data() + served);
-        served += c.count;
-        insts += c.instructions;
-    }
-    validateTotals(h, served, insts, in.remaining());
-    return Trace(h.name, std::move(records), h.instructions);
-}
 
 // ---------------------------------------------------------------------------
 // FileTraceSource
@@ -413,38 +333,30 @@ FileTraceSource::FileTraceSource(std::string path, FileMode mode)
     : path_(std::move(path)), mode_(mode)
 {
     fault::checkIo("stream.open", "opening " + path_);
-
-    // Sniff the version so v1/v2 files fall back to a full load.
-    std::uint32_t version = 0;
-    {
-        std::ifstream is(path_, std::ios::binary);
-        fatalIf(!is, ErrorCode::Io,
-                "cannot open for reading: " + path_);
-        char head[8] = {};
-        is.read(head, sizeof(head));
-        // Short or unrecognized files go through loadTrace below for
-        // its full diagnostics.
-        if (is && std::memcmp(head, kMagic, sizeof(kMagic)) == 0)
-            std::memcpy(&version, head + 4, sizeof(version));
-    }
-
-    if (version != 3) {
-        legacy_ = std::make_unique<MaterializedTraceSource>(
-            loadTrace(path_));
-        name_ = legacy_->name();
-        instructions_ = legacy_->instructions();
-        return;
-    }
     if (mode_ == FileMode::Buffered)
         openBuffered();
     else
         openMapped();
+
+    try {
+        ByteCursor in = map_ != nullptr
+                            ? ByteCursor(map_, fileBytes_, 0)
+                            : ByteCursor(*file_, fileBytes_, 0);
+        header_ = parseV3Header(in);
+        validatePayloadFits(header_, in.remaining());
+    } catch (...) {
+        // No destructor runs for a throwing constructor.
+        if (map_ != nullptr)
+            ::munmap(const_cast<unsigned char*>(map_), fileBytes_);
+        throw;
+    }
+    offset_ = header_.payloadStart;
 }
 
 FileTraceSource::~FileTraceSource()
 {
     if (map_ != nullptr)
-        ::munmap(const_cast<unsigned char*>(map_), mapBytes_);
+        ::munmap(const_cast<unsigned char*>(map_), fileBytes_);
 }
 
 void
@@ -459,16 +371,6 @@ FileTraceSource::openBuffered()
     fatalIf(!*file_ || end < std::istream::pos_type(0), ErrorCode::Io,
             "cannot determine size of " + path_);
     fileBytes_ = static_cast<std::uint64_t>(end);
-
-    ByteCursor in(*file_, fileBytes_);
-    const V3Header h = parseV3Header(in);
-    validatePayloadFits(h, in.remaining());
-    name_ = h.name;
-    instructions_ = h.instructions;
-    recordCount_ = h.recordCount;
-    chunkCapacity_ = h.chunkCapacity;
-    payloadStart_ = h.payloadStart;
-    offset_ = payloadStart_;
 }
 
 void
@@ -483,51 +385,27 @@ FileTraceSource::openMapped()
         ::close(fd);
         fatal(ErrorCode::Io, "cannot stat " + path_);
     }
-    mapBytes_ = static_cast<std::uint64_t>(st.st_size);
-    fileBytes_ = mapBytes_;
-    if (mapBytes_ == 0) {
+    fileBytes_ = static_cast<std::uint64_t>(st.st_size);
+    if (fileBytes_ == 0) {
         ::close(fd);
         fatal(ErrorCode::CorruptInput, "empty trace file: " + path_);
     }
-    void* map = ::mmap(nullptr, mapBytes_, PROT_READ, MAP_PRIVATE, fd,
-                       0);
+    void* map = ::mmap(nullptr, fileBytes_, PROT_READ, MAP_PRIVATE,
+                       fd, 0);
     ::close(fd);
     fatalIf(map == MAP_FAILED, ErrorCode::Io,
             "mmap failed for " + path_);
     map_ = static_cast<const unsigned char*>(map);
-    ::madvise(const_cast<unsigned char*>(map_), mapBytes_,
+    ::madvise(const_cast<unsigned char*>(map_), fileBytes_,
               MADV_SEQUENTIAL);
-
-    ByteCursor in(map_, mapBytes_);
-    const V3Header h = parseV3Header(in);
-    validatePayloadFits(h, in.remaining());
-    name_ = h.name;
-    instructions_ = h.instructions;
-    recordCount_ = h.recordCount;
-    chunkCapacity_ = h.chunkCapacity;
-    payloadStart_ = h.payloadStart;
-    offset_ = payloadStart_;
-    lastChunkStart_ = 0;
 }
 
 std::span<const Record>
 FileTraceSource::nextChunk()
 {
-    if (legacy_)
-        return legacy_->nextChunk();
     MRP_PROF_SCOPE("trace.decode");
-    return mode_ == FileMode::Buffered ? nextChunkBuffered()
-                                       : nextChunkMapped();
-}
-
-std::span<const Record>
-FileTraceSource::nextChunkBuffered()
-{
-    if (recordsServed_ == recordCount_) {
-        V3Header h;
-        h.recordCount = recordCount_;
-        h.instructions = instructions_;
-        validateTotals(h, recordsServed_, instsServed_,
+    if (recordsServed_ == header_.recordCount) {
+        validateTotals(header_, recordsServed_, instsServed_,
                        fileBytes_ - offset_);
         return {};
     }
@@ -535,91 +413,63 @@ FileTraceSource::nextChunkBuffered()
                    "reading chunk at offset " +
                        std::to_string(offset_) + " of " + path_);
 
-    V3Header h;
-    h.recordCount = recordCount_;
-    h.instructions = instructions_;
-    h.chunkCapacity = chunkCapacity_;
-    ByteCursor in(*file_, fileBytes_ - offset_);
-    const ChunkHead c = readChunkHead(in, h, recordsServed_, offset_);
-    try {
-        fault::checkAlloc("stream.read.alloc");
-        buffer_.resize(c.count);
-    } catch (const std::bad_alloc&) {
-        fatal(ErrorCode::Resource,
-              "out of memory streaming trace chunk (" +
-                  std::to_string(c.count) + " records)");
-    }
-    in.read(buffer_.data(), c.count * sizeof(Record),
-            "chunk records");
-    validateChunkPayload(c, buffer_.data());
-
-    offset_ += in.offset();
-    recordsServed_ += c.count;
-    instsServed_ += c.instructions;
-    stats_.chunksDecoded += 1;
-    stats_.bytesRead += in.offset();
-    return {buffer_.data(), buffer_.size()};
-}
-
-std::span<const Record>
-FileTraceSource::nextChunkMapped()
-{
-    if (recordsServed_ == recordCount_) {
-        V3Header h;
-        h.recordCount = recordCount_;
-        h.instructions = instructions_;
-        validateTotals(h, recordsServed_, instsServed_,
-                       fileBytes_ - offset_);
-        return {};
-    }
-    fault::checkIo("stream.read",
-                   "reading chunk at offset " +
-                       std::to_string(offset_) + " of " + path_);
-
-    // Drop the pages of already-served chunks so residency stays at
-    // ~one chunk no matter how large the mapped file is; they refault
-    // from the file cleanly after a reset().
-    const auto page =
-        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-    const std::uint64_t drop_end = offset_ & ~(page - 1);
-    if (drop_end > lastChunkStart_) {
-        ::madvise(const_cast<unsigned char*>(map_) + lastChunkStart_,
-                  drop_end - lastChunkStart_, MADV_DONTNEED);
-        lastChunkStart_ = drop_end;
+    if (map_ != nullptr) {
+        // Drop the pages of already-served chunks so residency stays
+        // at ~one chunk no matter how large the mapped file is; they
+        // refault from the file cleanly after a reset().
+        const auto page =
+            static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+        const std::uint64_t drop_end = offset_ & ~(page - 1);
+        if (drop_end > droppedUpTo_) {
+            ::madvise(const_cast<unsigned char*>(map_) + droppedUpTo_,
+                      drop_end - droppedUpTo_, MADV_DONTNEED);
+            droppedUpTo_ = drop_end;
+        }
     }
 
-    V3Header h;
-    h.recordCount = recordCount_;
-    h.instructions = instructions_;
-    h.chunkCapacity = chunkCapacity_;
-    ByteCursor in(map_ + offset_, fileBytes_ - offset_);
-    const ChunkHead c = readChunkHead(in, h, recordsServed_, offset_);
-    const auto* records = reinterpret_cast<const Record*>(
-        in.take(c.count * sizeof(Record), "chunk records"));
+    // Only the byte source differs between the modes: the mapping is
+    // read in place, a buffered file into the reused chunk buffer.
+    ByteCursor in = map_ != nullptr
+                        ? ByteCursor(map_, fileBytes_, offset_)
+                        : ByteCursor(*file_, fileBytes_, offset_);
+    const ChunkHead c = readChunkHead(in, header_, recordsServed_);
+    const std::uint64_t bytes = c.count * sizeof(Record);
+    const Record* records = nullptr;
+    if (map_ != nullptr) {
+        records = reinterpret_cast<const Record*>(
+            in.take(bytes, "chunk records"));
+    } else {
+        try {
+            fault::checkAlloc("stream.read.alloc");
+            buffer_.resize(c.count);
+        } catch (const std::bad_alloc&) {
+            fatal(ErrorCode::Resource,
+                  "out of memory streaming trace chunk (" +
+                      std::to_string(c.count) + " records)");
+        }
+        in.read(buffer_.data(), bytes, "chunk records");
+        records = buffer_.data();
+    }
     validateChunkPayload(c, records);
 
-    offset_ += in.offset();
+    stats_.bytesRead += in.offset() - offset_;
+    offset_ = in.offset();
     recordsServed_ += c.count;
     instsServed_ += c.instructions;
     stats_.chunksDecoded += 1;
-    stats_.bytesRead += in.offset();
     return {records, c.count};
 }
 
 void
 FileTraceSource::reset()
 {
-    if (legacy_) {
-        legacy_->reset();
-        return;
-    }
-    offset_ = payloadStart_;
+    offset_ = header_.payloadStart;
     recordsServed_ = 0;
     instsServed_ = 0;
-    lastChunkStart_ = 0;
+    droppedUpTo_ = 0;
     if (file_) {
         file_->clear();
-        file_->seekg(static_cast<std::streamoff>(payloadStart_));
+        file_->seekg(static_cast<std::streamoff>(offset_));
         fatalIf(!*file_, ErrorCode::Io,
                 "seek failed rewinding " + path_);
     }
@@ -785,13 +635,23 @@ ChunkedTraceWriter::append(std::span<const Record> records)
 {
     fatalIf(finished_, ErrorCode::Internal,
             "append() after finish() on " + path_);
-    pending_.insert(pending_.end(), records.begin(), records.end());
-    while (pending_.size() >= chunkRecords_) {
-        writeChunk(pending_.data(), chunkRecords_);
-        pending_.erase(pending_.begin(),
-                       pending_.begin() +
-                           static_cast<std::ptrdiff_t>(chunkRecords_));
+    if (!pending_.empty()) {
+        // Top up the buffered tail; write it once it is a full chunk.
+        const std::size_t take = std::min(
+            records.size(), chunkRecords_ - pending_.size());
+        pending_.insert(pending_.end(), records.begin(),
+                        records.begin() +
+                            static_cast<std::ptrdiff_t>(take));
+        records = records.subspan(take);
+        if (pending_.size() < chunkRecords_)
+            return;
+        writeChunk(pending_.data(), pending_.size());
+        pending_.clear();
     }
+    for (; records.size() >= chunkRecords_;
+         records = records.subspan(chunkRecords_))
+        writeChunk(records.data(), chunkRecords_);
+    pending_.assign(records.begin(), records.end());
 }
 
 void

@@ -1,15 +1,14 @@
 /**
  * @file
- * The chunked trace-file substrate: format v3 readers and writers.
+ * The trace-file substrate: the one `.mrpt` writer (ChunkedTraceWriter)
+ * and the one reader (FileTraceSource), plus the decode-ahead wrapper.
  *
- * Format v3 (little-endian) extends the v1/v2 header with a chunked
- * payload so multi-GB traces stream in bounded memory and corruption
- * is localized to one chunk:
+ * The format (little-endian; constants in trace/wire_format.hpp):
  *
- *   28-byte base header   magic "MRPT", u32 version=3,
+ *   32-byte fixed header  magic "MRPT", u32 version=3,
  *                         u64 instructions, u64 record count,
- *                         u32 name length
- *   u32 chunk capacity    records per full chunk (last may be short)
+ *                         u32 name length, u32 chunk capacity
+ *                         (records per full chunk; last may be short)
  *   name bytes, zero pad  pad chosen so records land 16-byte aligned
  *   u32 header CRC-32     covers every byte above
  *   chunks                each: u32 record count, u32 CRC-32,
@@ -19,17 +18,22 @@
  *                         decodable and a flipped bit is reported
  *                         with the chunk's byte offset
  *
- * Readers validate every length field against the bytes actually
- * remaining before any allocation, and chunk/record totals against
- * the header at end of stream. All failures are typed FatalErrors
- * (CorruptInput/Io), never crashes.
+ * Any other version (the retired monolithic v1/v2 layouts included)
+ * is rejected as CorruptInput. The reader validates every length
+ * field against the bytes actually remaining before any allocation,
+ * and chunk/record totals against the header at end of stream. All
+ * failures are typed FatalErrors (CorruptInput/Io/Resource), never
+ * crashes.
  *
  * Fault-injection sites (see util/fault_injection.hpp):
- *   "stream.open"        IoError — fail FileTraceSource's open/stat
- *   "stream.read"        IoError — fail a chunk read (per chunk)
- *   "stream.read.alloc"  AllocFail — chunk-buffer allocation fails
- *   "stream.mmap"        IoError — fail the mmap itself
- *   "stream.write"       IoError — fail a ChunkedTraceWriter append
+ *   "stream.open"         IoError — fail FileTraceSource's open/stat
+ *   "stream.read"         IoError — fail a chunk read (per chunk)
+ *   "stream.read.alloc"   AllocFail — chunk-buffer allocation fails
+ *                         (buffered mode; mmap chunks are zero-copy)
+ *   "stream.mmap"         IoError — fail the mmap itself
+ *   "stream.write"        IoError — fail a ChunkedTraceWriter append
+ *   "stream.write.corrupt" CorruptByte — flip a bit in a chunk header
+ *                         before it is written
  *   "stream.write.finish" IoError — fail the finalize/fsync/rename
  */
 
@@ -49,6 +53,7 @@
 #include <vector>
 
 #include "trace/source.hpp"
+#include "trace/wire_format.hpp"
 
 namespace mrp::trace {
 
@@ -68,11 +73,11 @@ struct StreamStats
 };
 
 /**
- * Streams a trace file chunk by chunk. v3 files stream in O(chunk)
- * memory (buffered: one reused buffer; mmap: zero-copy spans with
- * already-served pages dropped via madvise so residency stays
- * bounded). v1/v2 files have a monolithic payload and are loaded
- * whole on open — use v3 for anything that should not fit in RAM.
+ * Streams a trace file chunk by chunk in O(chunk) memory (buffered:
+ * one reused buffer; mmap: zero-copy spans with already-served pages
+ * dropped via madvise so residency stays bounded). The header is
+ * validated on open; each chunk is validated as it is served, so a
+ * corrupt chunk fails at its own position in the stream.
  */
 class FileTraceSource final : public TraceSource
 {
@@ -84,8 +89,11 @@ class FileTraceSource final : public TraceSource
     FileTraceSource(const FileTraceSource&) = delete;
     FileTraceSource& operator=(const FileTraceSource&) = delete;
 
-    const std::string& name() const override { return name_; }
-    InstCount instructions() const override { return instructions_; }
+    const std::string& name() const override { return header_.name; }
+    InstCount instructions() const override
+    {
+        return header_.instructions;
+    }
     std::span<const Record> nextChunk() override;
     void reset() override;
 
@@ -93,36 +101,24 @@ class FileTraceSource final : public TraceSource
     FileMode mode() const { return mode_; }
 
   private:
-    std::span<const Record> nextChunkBuffered();
-    std::span<const Record> nextChunkMapped();
     void openBuffered();
     void openMapped();
 
     std::string path_;
     FileMode mode_;
-    std::string name_;
-    InstCount instructions_ = 0;
-    std::uint64_t recordCount_ = 0;
-    std::uint32_t chunkCapacity_ = 0;
+    wire::V3Header header_;
     std::uint64_t fileBytes_ = 0;
-    std::uint64_t payloadStart_ = 0; //!< offset of the first chunk
 
     // Stream position (both modes).
     std::uint64_t offset_ = 0;       //!< next unread byte
     std::uint64_t recordsServed_ = 0;
     InstCount instsServed_ = 0;
 
-    // Buffered mode.
+    // Byte source: a buffered file, or (mmap mode) the mapping.
     std::unique_ptr<std::ifstream> file_;
     std::vector<Record> buffer_;
-
-    // Mmap mode.
     const unsigned char* map_ = nullptr;
-    std::uint64_t mapBytes_ = 0;
-    std::uint64_t lastChunkStart_ = 0; //!< for madvise(DONTNEED)
-
-    // v1/v2 fallback: the whole trace, served in chunks.
-    std::unique_ptr<MaterializedTraceSource> legacy_;
+    std::uint64_t droppedUpTo_ = 0; //!< madvise(DONTNEED) watermark
 
     StreamStats stats_;
 };
@@ -181,11 +177,13 @@ class DecodeAheadSource final : public TraceSource
 };
 
 /**
- * Incremental v3 writer: appends chunks as they are produced, so a
+ * The trace-file writer: appends chunks as they are produced, so a
  * trace larger than RAM can be generated and saved in one streaming
  * pass. Writes go to "<path>.tmp.<pid>"; finish() patches the header
  * totals, fsyncs, and renames into place, so a crash mid-write can
- * never leave a torn file at the destination path.
+ * never leave a torn file at the destination path. The file bytes
+ * depend only on the record sequence and the chunk capacity, never
+ * on how the records were split across append() calls.
  */
 class ChunkedTraceWriter
 {
@@ -198,8 +196,9 @@ class ChunkedTraceWriter
     ChunkedTraceWriter& operator=(const ChunkedTraceWriter&) = delete;
 
     /**
-     * Append @p records as one or more chunks (splits at the chunk
-     * capacity; buffers partial chunks until full or finished).
+     * Append @p records as one or more chunks. Full chunks are written
+     * straight from @p records; only a tail shorter than one chunk is
+     * buffered until more records arrive or finish() flushes it.
      */
     void append(std::span<const Record> records);
 
@@ -225,14 +224,6 @@ class ChunkedTraceWriter
     std::uint64_t recordCount_ = 0;
     bool finished_ = false;
 };
-
-/** @name v3 stream/trace_io bridge (internal to the trace library)
- * Monolithic v3 serialization used by writeTrace/readTrace so the
- * public trace_io API handles every format revision. @{ */
-void writeChunkedTrace(std::ostream& os, const Trace& trace,
-                       std::size_t chunk_records = kDefaultChunkRecords);
-Trace readChunkedTrace(std::istream& is, std::uint64_t available);
-/** @} */
 
 } // namespace mrp::trace
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
- * guarding the v2 trace footer and checkpoint-journal lines. Table is
- * generated at compile time; the implementation is self-contained so
- * checksums are bit-identical across platforms.
+ * guarding trace-file headers and chunks and checkpoint-journal lines.
+ * Table is generated at compile time; the implementation is
+ * self-contained so checksums are bit-identical across platforms.
  */
 
 #ifndef MRP_UTIL_CRC32_HPP

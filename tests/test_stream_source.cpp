@@ -2,9 +2,10 @@
  * @file
  * Streaming-trace conformance suite: the TraceSource contract
  * (chunking invariance, reset replay), the chunked v3 file format
- * (round trips, per-chunk CRC localization, atomic writes), the
- * decode-ahead wrapper (equivalence, fault position, abandonment), and
- * the generator families (exact budgets, Zipf skew sanity).
+ * (round trips and per-chunk CRC localization in both FileModes,
+ * atomic writes), the decode-ahead wrapper (equivalence, fault
+ * position, abandonment), and the generator families (exact budgets,
+ * Zipf skew sanity).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@
 #include "trace/spec.hpp"
 #include "trace/stream_gen.hpp"
 #include "trace/stream_reader.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/wire_format.hpp"
 #include "trace/workloads.hpp"
 #include "util/fault_injection.hpp"
@@ -76,6 +76,9 @@ smallZipf(InstCount insts = 200000)
     p.keys = 1u << 14;
     return p;
 }
+
+constexpr trace::FileMode kModes[] = {trace::FileMode::Buffered,
+                                      trace::FileMode::Mmap};
 
 class TempTraceFile
 {
@@ -173,7 +176,7 @@ TEST_F(StreamSourceTest, MaterializeRoundsTripsIdentityAndTotals)
 // ---------------------------------------------------------------------
 // Chunked v3 files
 
-TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaLoadTrace)
+TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaMaterialize)
 {
     TempTraceFile file("roundtrip");
     const auto spec = trace::TraceSpec::zipf(smallZipf());
@@ -187,8 +190,7 @@ TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaLoadTrace)
         EXPECT_EQ(writer.instructions(), spec.instructions());
     }
 
-    for (const auto mode :
-         {trace::FileMode::Buffered, trace::FileMode::Mmap}) {
+    for (const auto mode : kModes) {
         trace::FileTraceSource s(file.path(), mode);
         EXPECT_EQ(s.name(), spec.displayName());
         EXPECT_EQ(s.instructions(), spec.instructions());
@@ -199,13 +201,14 @@ TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaLoadTrace)
         // reset() rewinds the file cursor, not just generators.
         s.reset();
         EXPECT_TRUE(sameRecords(reference, drain(s)));
-    }
 
-    // The monolithic loader sees the same trace (v3 is the default
-    // trace_io format, not a side universe).
-    const auto loaded = trace::loadTrace(file.path());
-    EXPECT_EQ(loaded.name(), spec.displayName());
-    EXPECT_TRUE(sameRecords(reference, loaded.records()));
+        // A whole in-memory Trace comes from the same reader.
+        s.reset();
+        const auto loaded = trace::materialize(s);
+        EXPECT_EQ(loaded.name(), spec.displayName());
+        EXPECT_EQ(loaded.instructions(), spec.instructions());
+        EXPECT_TRUE(sameRecords(reference, loaded.records()));
+    }
 }
 
 TEST_F(StreamSourceTest, WriterChunkSizeChangesBytesNotRecords)
@@ -250,18 +253,20 @@ TEST_F(StreamSourceTest, MidChunkCorruptionIsRejectedWithByteOffset)
         f.seekp(static_cast<std::streamoff>(payload + 5));
         f.put(byte);
     }
-    trace::FileTraceSource s(file.path(), trace::FileMode::Buffered);
-    try {
-        drain(s);
-        FAIL() << "corrupted chunk was accepted";
-    } catch (const FatalError& e) {
-        EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
-        EXPECT_NE(std::string(e.what()).find("CRC mismatch"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("offset"),
-                  std::string::npos)
-            << e.what();
+    for (const auto mode : kModes) {
+        trace::FileTraceSource s(file.path(), mode);
+        try {
+            drain(s);
+            FAIL() << "corrupted chunk was accepted";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
+            EXPECT_NE(std::string(e.what()).find("CRC mismatch"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("offset"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -294,19 +299,21 @@ TEST_F(StreamSourceTest, CorruptionIsLocalizedToItsChunk)
         f.seekp(pos);
         f.put(byte);
     }
-    trace::FileTraceSource s(file.path(), trace::FileMode::Buffered);
-    std::size_t good_chunks = 0;
-    try {
-        for (;;) {
-            const auto chunk = s.nextChunk();
-            ASSERT_FALSE(chunk.empty())
-                << "corruption was never detected";
-            ++good_chunks;
+    for (const auto mode : kModes) {
+        trace::FileTraceSource s(file.path(), mode);
+        std::size_t good_chunks = 0;
+        try {
+            for (;;) {
+                const auto chunk = s.nextChunk();
+                ASSERT_FALSE(chunk.empty())
+                    << "corruption was never detected";
+                ++good_chunks;
+            }
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
         }
-    } catch (const FatalError& e) {
-        EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
+        EXPECT_GT(good_chunks, 3u);
     }
-    EXPECT_GT(good_chunks, 3u);
 }
 
 TEST_F(StreamSourceTest, TruncatedFileIsRejected)
@@ -333,13 +340,14 @@ TEST_F(StreamSourceTest, TruncatedFileIsRejected)
     // Depending on where the cut lands the header validation (chunks
     // no longer fit the payload) or the chunk reader itself objects —
     // either way the answer is a typed error, never silent truncation.
-    EXPECT_THROW(
-        {
-            trace::FileTraceSource s(file.path(),
-                                     trace::FileMode::Buffered);
-            drain(s);
-        },
-        FatalError);
+    for (const auto mode : kModes) {
+        EXPECT_THROW(
+            {
+                trace::FileTraceSource s(file.path(), mode);
+                drain(s);
+            },
+            FatalError);
+    }
 }
 
 TEST_F(StreamSourceTest, WriterFinishFaultLeavesNoTmpAndOldFileIntact)

@@ -1,26 +1,48 @@
 /**
  * @file
- * Tests for binary trace serialization: v1/v2 round trips, the CRC-32
- * footer, and a fuzz-style corrupt-input suite (truncation at header
- * boundaries, bit flips, oversized length fields) driven through the
- * fault injector. Every rejection must be a typed FatalError — no
- * crash, no unbounded allocation.
+ * Tests for the trace file: the bytes ChunkedTraceWriter writes
+ * (pinned sizes and CRC-32s, independence from how records are
+ * appended), round trips through FileTraceSource, and a fuzz-style
+ * corrupt-input suite (truncation at every header byte, bit flips,
+ * oversized length fields, retired v1/v2 images) driven through the
+ * fault injector. Every reading case runs in both FileModes, so the
+ * buffered and the mmap decoder see the same corrupt input. Every
+ * rejection must be a typed FatalError — no crash, no unbounded
+ * allocation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <unistd.h>
+#include <vector>
 
-#include "trace/trace_io.hpp"
+#include "trace/spec.hpp"
+#include "trace/stream_reader.hpp"
+#include "trace/wire_format.hpp"
 #include "trace/workloads.hpp"
+#include "util/crc32.hpp"
 #include "util/fault_injection.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::trace {
 namespace {
+
+constexpr FileMode kModes[] = {FileMode::Buffered, FileMode::Mmap};
+
+/** Small chunks so 5k-instruction traces span several of them. */
+constexpr std::size_t kTestChunk = 256;
+
+const char*
+modeName(FileMode mode)
+{
+    return mode == FileMode::Buffered ? "buffered" : "mmap";
+}
 
 void
 expectEqualTraces(const Trace& a, const Trace& b)
@@ -40,129 +62,424 @@ expectEqualTraces(const Trace& a, const Trace& b)
     }
 }
 
+/** A per-process temporary file path, removed on scope exit. */
+class TempPath
+{
+  public:
+    explicit TempPath(const std::string& tag)
+        : path_("trace_io_test_" + tag + "_" +
+                std::to_string(::getpid()) + ".mrpt")
+    {
+    }
+    ~TempPath() { std::remove(path_.c_str()); }
+    const std::string& path() const { return path_; }
+    std::string tmp() const
+    {
+        return path_ + ".tmp." + std::to_string(::getpid());
+    }
+
+  private:
+    std::string path_;
+};
+
+void
+writeFile(const std::string& path, const Trace& trace,
+          std::size_t chunk = kTestChunk)
+{
+    ChunkedTraceWriter writer(path, trace.name(), chunk);
+    writer.append(trace.records());
+    writer.finish();
+}
+
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+putFile(const std::string& path, const std::string& bytes)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** The file image ChunkedTraceWriter produces for @p trace. */
+std::string
+bytesOf(const Trace& trace, std::size_t chunk = kTestChunk)
+{
+    TempPath file("image");
+    writeFile(file.path(), trace, chunk);
+    return slurp(file.path());
+}
+
+Trace
+readFile(const std::string& path, FileMode mode)
+{
+    FileTraceSource source(path, mode);
+    return materialize(source);
+}
+
+/** The FatalError reading @p bytes raises in @p mode; None if the
+ * whole file decodes cleanly. */
+FatalError
+readError(const std::string& bytes, FileMode mode)
+{
+    TempPath file("read");
+    putFile(file.path(), bytes);
+    try {
+        (void)readFile(file.path(), mode);
+    } catch (const FatalError& e) {
+        return e;
+    }
+    return FatalError(ErrorCode::None, "decoded cleanly");
+}
+
+ErrorCode
+readCode(const std::string& bytes, FileMode mode)
+{
+    return readError(bytes, mode).code();
+}
+
+std::uint32_t
+u32At(const std::string& bytes, std::size_t at)
+{
+    std::uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+}
+
+/** Recompute the header CRC after a deliberate field edit, so the
+ * edit reaches the checks behind the CRC. */
+void
+resealHeader(std::string& bytes)
+{
+    const std::uint64_t crc_at =
+        wire::v3PayloadStart(u32At(bytes, 24)) - 4;
+    const std::uint32_t crc = Crc32::of(bytes.data(), crc_at);
+    std::memcpy(&bytes[crc_at], &crc, sizeof(crc));
+}
+
+// ---------------------------------------------------------------------
+// Written bytes
+
+TEST(TraceIoTest, WriterBytesArePinned)
+{
+    // Size and CRC-32 of whole files at a chunk capacity of 1000
+    // records. A change here is a change of the file format, which
+    // needs a new version number, not a new golden.
+    struct Golden
+    {
+        unsigned index;
+        std::size_t bytes;
+        std::uint32_t crc;
+    };
+    const Golden golden[] = {
+        {0, 49376, 0x1dcf0c11u},  // compute.small, short last chunk
+        {9, 128176, 0xc392d74fu}, // scan.a, chunk-aligned
+        {22, 160256, 0x1712e9fdu}, // chase.4m
+    };
+    for (const auto& g : golden) {
+        const std::string bytes =
+            bytesOf(makeSuiteTrace(g.index, 20000), 1000);
+        EXPECT_EQ(bytes.size(), g.bytes) << "suite trace " << g.index;
+        EXPECT_EQ(Crc32::of(bytes.data(), bytes.size()), g.crc)
+            << "suite trace " << g.index;
+    }
+}
+
+TEST(TraceIoTest, WriterBytesIgnoreAppendShape)
+{
+    const Trace original = makeSuiteTrace(0, 20000); // 3078 records
+    const std::size_t cap = 1000;
+    const std::string whole = bytesOf(original, cap);
+
+    // Odd-sized appends straddle chunk boundaries from both sides.
+    TempPath odd("odd");
+    {
+        ChunkedTraceWriter writer(odd.path(), original.name(), cap);
+        const std::span<const Record> all(original.records());
+        const std::size_t sizes[] = {1, cap - 1, cap + 1};
+        for (std::size_t pos = 0, i = 0; pos < all.size(); ++i) {
+            const std::size_t n =
+                std::min(sizes[i % 3], all.size() - pos);
+            writer.append(all.subspan(pos, n));
+            pos += n;
+        }
+        writer.append({}); // empty appends are no-ops
+        writer.finish();
+    }
+    EXPECT_EQ(slurp(odd.path()), whole);
+
+    TempPath drained("drained");
+    {
+        ChunkedTraceWriter writer(drained.path(), original.name(), cap);
+        MaterializedTraceSource source(original, 777);
+        writer.appendAll(source);
+        writer.finish();
+        EXPECT_EQ(writer.recordCount(), original.records().size());
+        EXPECT_EQ(writer.instructions(), original.instructions());
+    }
+    EXPECT_EQ(slurp(drained.path()), whole);
+}
+
+// ---------------------------------------------------------------------
+// Round trips
+
 TEST(TraceIoTest, RoundTripsThroughStream)
 {
     const Trace original = makeSuiteTrace(22, 30000); // pointer chase
-    std::stringstream ss;
-    writeTrace(ss, original);
-    const Trace loaded = readTrace(ss);
-    expectEqualTraces(original, loaded);
+    TempPath file("stream");
+    writeFile(file.path(), original);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        FileTraceSource source(file.path(), mode);
+        EXPECT_EQ(source.name(), original.name());
+        EXPECT_EQ(source.instructions(), original.instructions());
+        std::size_t pos = 0;
+        for (auto chunk = source.nextChunk(); !chunk.empty();
+             chunk = source.nextChunk()) {
+            ASSERT_LE(chunk.size(), kTestChunk);
+            ASSERT_LE(pos + chunk.size(), original.records().size());
+            EXPECT_EQ(std::memcmp(chunk.data(),
+                                  original.records().data() + pos,
+                                  chunk.size_bytes()),
+                      0);
+            pos += chunk.size();
+        }
+        EXPECT_EQ(pos, original.records().size());
+    }
 }
 
 TEST(TraceIoTest, RoundTripsThroughFile)
 {
     const Trace original = makeSuiteTrace(9, 20000);
-    const std::string path = "/tmp/mrp_trace_io_test.mrpt";
-    saveTrace(path, original);
-    const Trace loaded = loadTrace(path);
-    expectEqualTraces(original, loaded);
-    std::remove(path.c_str());
+    TempPath file("file");
+    writeFile(file.path(), original, kDefaultChunkRecords);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        expectEqualTraces(original, readFile(file.path(), mode));
+    }
+}
+
+TEST(TraceIoTest, V3RoundTripsExplicitly)
+{
+    // The writer stamps version 3 and the chosen chunk capacity, and
+    // pads the name so the first chunk is 16-byte aligned.
+    const Trace original = makeSuiteTrace(22, 30000);
+    const std::string bytes = bytesOf(original, 300);
+    EXPECT_EQ(std::memcmp(bytes.data(), wire::kMagic, 4), 0);
+    EXPECT_EQ(u32At(bytes, 4), wire::kVersion);
+    EXPECT_EQ(u32At(bytes, 24), original.name().size());
+    EXPECT_EQ(u32At(bytes, 28), 300u);
+    EXPECT_EQ(wire::v3PayloadStart(original.name().size()) % 16, 0u);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes, mode), ErrorCode::None);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Corrupt input
+
+TEST(TraceIoTest, MissingFile)
+{
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        try {
+            FileTraceSource source("/nonexistent/path/to.mrpt", mode);
+            FAIL() << "expected FatalError";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::Io);
+        }
+    }
 }
 
 TEST(TraceIoTest, RejectsBadMagic)
 {
-    std::stringstream ss;
-    ss << "NOPE and more bytes to be safe";
-    EXPECT_THROW(readTrace(ss), FatalError);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode("NOPE and more bytes to be safe", mode),
+                  ErrorCode::CorruptInput);
+    }
 }
+
+/** A retired monolithic image: the 28-byte base header, the name,
+ * the packed records and, for v2, a CRC-32 footer over all of it. */
+std::string
+legacyImage(std::uint32_t version)
+{
+    const Trace t = makeSuiteTrace(0, 2000);
+    std::string img(wire::kMagic, 4);
+    const auto put = [&img](const auto& v) {
+        img.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(version);
+    put(static_cast<std::uint64_t>(t.instructions()));
+    put(static_cast<std::uint64_t>(t.records().size()));
+    put(static_cast<std::uint32_t>(t.name().size()));
+    img += t.name();
+    img.append(reinterpret_cast<const char*>(t.records().data()),
+               t.records().size() * sizeof(Record));
+    if (version == 2)
+        put(Crc32::of(img.data(), img.size()));
+    return img;
+}
+
+void
+expectLegacyRejected(std::uint32_t version)
+{
+    const std::string img = legacyImage(version);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        const FatalError e = readError(img, mode);
+        EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+        EXPECT_NE(std::string(e.what()).find(
+                      "version " + std::to_string(version)),
+                  std::string::npos)
+            << e.what();
+    }
+    // File specs validate the header up front, too.
+    TempPath file("old_spec");
+    putFile(file.path(), img);
+    try {
+        (void)TraceSpec::file(file.path());
+        FAIL() << "a v" << version << " file became a spec";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
+    }
+}
+
+TEST(TraceIoTest, RejectsLegacyV1Image) { expectLegacyRejected(1); }
+
+TEST(TraceIoTest, RejectsLegacyV2Image) { expectLegacyRejected(2); }
 
 TEST(TraceIoTest, RejectsTruncation)
 {
-    const Trace original = makeSuiteTrace(0, 5000);
-    std::stringstream full;
-    writeTrace(full, original);
-    const std::string bytes = full.str();
-    std::stringstream cut;
-    cut << bytes.substr(0, bytes.size() / 2);
-    EXPECT_THROW(readTrace(cut), FatalError);
-}
-
-TEST(TraceIoTest, RejectsCorruptInstructionCount)
-{
-    const Trace original = makeSuiteTrace(0, 5000);
-    std::stringstream full;
-    writeTrace(full, original);
-    std::string bytes = full.str();
-    bytes[8] ^= 0x5A; // flip bits in the instruction-count field
-    std::stringstream bad;
-    bad << bytes;
-    EXPECT_THROW(readTrace(bad), FatalError);
-}
-
-TEST(TraceIoTest, MissingFile)
-{
-    EXPECT_THROW(loadTrace("/nonexistent/path/to.mrpt"), FatalError);
-}
-
-/** Serialized image of @p trace in @p format. */
-std::string
-bytesOf(const Trace& trace, TraceFormat format)
-{
-    std::stringstream ss;
-    writeTrace(ss, trace, format);
-    return ss.str();
-}
-
-/** Code of the FatalError readTrace raises on @p bytes; None if it
- * parses cleanly. */
-ErrorCode
-readCode(const std::string& bytes)
-{
-    std::stringstream ss;
-    ss << bytes;
-    try {
-        readTrace(ss);
-    } catch (const FatalError& e) {
-        return e.code();
+    const std::string bytes = bytesOf(makeSuiteTrace(0, 5000));
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes.substr(0, bytes.size() / 2), mode),
+                  ErrorCode::CorruptInput);
     }
-    return ErrorCode::None;
-}
-
-TEST(TraceIoTest, V1RoundTripsWithoutFooter)
-{
-    const Trace original = makeSuiteTrace(3, 10000);
-    const std::string v1 = bytesOf(original, TraceFormat::V1);
-    const std::string v2 = bytesOf(original, TraceFormat::V2);
-    EXPECT_EQ(v2.size(), v1.size() + 4); // v2 = v1 + CRC footer
-    std::stringstream ss;
-    ss << v1;
-    expectEqualTraces(original, readTrace(ss));
 }
 
 TEST(TraceIoTest, RejectsTruncationAtEveryHeaderBoundary)
 {
     const Trace original = makeSuiteTrace(0, 5000);
-    const std::string bytes = bytesOf(original, TraceFormat::V2);
-    const std::size_t name_end = 32 + original.name().size();
-    // Every cut inside the header and name, a sample of cuts through
-    // the record payload, and every cut through the CRC footer.
+    const std::string bytes = bytesOf(original);
+    const std::size_t payload =
+        wire::v3PayloadStart(original.name().size());
+    // Every cut inside the header, a sample of cuts through the
+    // chunks, and every cut through the last few bytes.
     std::vector<std::size_t> cuts;
-    for (std::size_t c = 0; c <= name_end; ++c)
+    for (std::size_t c = 0; c <= payload; ++c)
         cuts.push_back(c);
-    for (std::size_t c = name_end; c < bytes.size();
-         c += (bytes.size() - name_end) / 16 + 1)
+    for (std::size_t c = payload; c < bytes.size();
+         c += (bytes.size() - payload) / 16 + 1)
         cuts.push_back(c);
     for (std::size_t back = 1; back <= 5; ++back)
         cuts.push_back(bytes.size() - back);
-    for (const std::size_t cut : cuts) {
-        const ErrorCode code = readCode(bytes.substr(0, cut));
-        EXPECT_TRUE(code == ErrorCode::CorruptInput ||
-                    code == ErrorCode::Io)
-            << "cut at " << cut << " gave code "
-            << errorCodeName(code);
+    for (const auto mode : kModes) {
+        for (const std::size_t cut : cuts) {
+            const ErrorCode code = readCode(bytes.substr(0, cut), mode);
+            EXPECT_EQ(code, ErrorCode::CorruptInput)
+                << modeName(mode) << " cut at " << cut << " gave code "
+                << errorCodeName(code);
+        }
     }
 }
 
 TEST(TraceIoTest, TruncationDiagnosticsReportOffsets)
 {
     const Trace original = makeSuiteTrace(0, 5000);
-    const std::string bytes = bytesOf(original, TraceFormat::V2);
-    try {
-        std::stringstream cut;
-        cut << bytes.substr(0, 40 + original.name().size());
-        readTrace(cut);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError& e) {
+    const std::string bytes = bytesOf(original);
+    const std::size_t payload =
+        wire::v3PayloadStart(original.name().size());
+    // One cut inside the name, one inside the first chunk.
+    for (const std::size_t cut :
+         {wire::kV3FixedBytes + 2, payload + 40}) {
+        for (const auto mode : kModes) {
+            SCOPED_TRACE(modeName(mode));
+            const FatalError e = readError(bytes.substr(0, cut), mode);
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
+            const std::string what = e.what();
+            EXPECT_NE(what.find("truncated"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("offset"), std::string::npos) << what;
+        }
+    }
+}
+
+TEST(TraceIoTest, RejectsCorruptInstructionCount)
+{
+    std::string bytes = bytesOf(makeSuiteTrace(0, 5000));
+    bytes[8] ^= 0x5A; // flip bits in the instruction-count field
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes, mode), ErrorCode::CorruptInput);
+    }
+    // Behind the header CRC, the chunk totals catch it as well.
+    resealHeader(bytes);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes, mode), ErrorCode::CorruptInput);
+    }
+}
+
+TEST(TraceIoTest, V3RejectsHeaderBitFlips)
+{
+    // The header CRC catches even a flipped bit in a field that still
+    // parses (the name).
+    std::string bytes = bytesOf(makeSuiteTrace(1, 5000));
+    bytes[34] ^= 0x01; // third byte of the trace name
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes, mode), ErrorCode::CorruptInput);
+    }
+}
+
+TEST(TraceIoTest, RejectsBitFlippedHeaderCrc)
+{
+    const Trace original = makeSuiteTrace(1, 5000);
+    std::string bytes = bytesOf(original);
+    bytes[wire::v3PayloadStart(original.name().size()) - 2] ^= 0x10;
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        const FatalError e = readError(bytes, mode);
+        EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
+        EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(TraceIoTest, CrcCatchesPayloadBitFlips)
+{
+    // A sweep of single-bit flips through the chunks: chunk headers,
+    // records, and record fields the simulator would happily accept.
+    const Trace original = makeSuiteTrace(1, 5000);
+    const std::string bytes = bytesOf(original);
+    const std::size_t payload =
+        wire::v3PayloadStart(original.name().size());
+    for (std::size_t at = payload; at < bytes.size();
+         at += (bytes.size() - payload) / 32 + 1) {
+        std::string bad = bytes;
+        bad[at] ^= static_cast<char>(1u << (at % 8));
+        for (const auto mode : kModes)
+            EXPECT_EQ(readCode(bad, mode), ErrorCode::CorruptInput)
+                << modeName(mode) << " flip at byte " << at;
+    }
+}
+
+TEST(TraceIoTest, V3CrcCatchesPayloadBitFlips)
+{
+    std::string bytes = bytesOf(makeSuiteTrace(1, 5000));
+    bytes[bytes.size() / 2] ^= 0x04;
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        const FatalError e = readError(bytes, mode);
         EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
         EXPECT_NE(std::string(e.what()).find("offset"),
                   std::string::npos)
@@ -170,102 +487,67 @@ TEST(TraceIoTest, TruncationDiagnosticsReportOffsets)
     }
 }
 
-TEST(TraceIoTest, RejectsBitFlippedCrcFooter)
-{
-    const Trace original = makeSuiteTrace(1, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V2);
-    bytes[bytes.size() - 2] ^= 0x10;
-    try {
-        std::stringstream ss;
-        ss << bytes;
-        readTrace(ss);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError& e) {
-        EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
-        EXPECT_NE(std::string(e.what()).find("CRC"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(TraceIoTest, CrcCatchesPayloadBitFlips)
-{
-    const Trace original = makeSuiteTrace(1, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V2);
-    // Flip a bit in the middle of the record payload — a corruption
-    // the v1 header checks could never see.
-    bytes[bytes.size() / 2] ^= 0x04;
-    EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
-}
-
 TEST(TraceIoTest, RejectsOversizedNameLength)
 {
-    const Trace original = makeSuiteTrace(0, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V2);
+    std::string bytes = bytesOf(makeSuiteTrace(0, 5000));
     const std::uint32_t huge = 0xFFFFFFF0u;
-    std::memcpy(&bytes[28], &huge, sizeof(huge));
-    EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
+    std::memcpy(&bytes[24], &huge, sizeof(huge));
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes, mode), ErrorCode::CorruptInput);
+    }
 }
 
 TEST(TraceIoTest, RejectsOversizedRecordCountWithoutAllocating)
 {
-    const Trace original = makeSuiteTrace(0, 5000);
-    for (const auto format : {TraceFormat::V1, TraceFormat::V2}) {
-        std::string bytes = bytesOf(original, format);
-        // A corrupt u64 record count claiming ~16 TiB of records must
-        // be rejected from the stream bounds, not attempted.
-        const std::uint64_t huge = 1ull << 40;
-        std::memcpy(&bytes[16], &huge, sizeof(huge));
-        EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
+    // A sealed header claiming ~16 TiB of records must be rejected
+    // from the file size on open, before any chunk is read.
+    std::string bytes = bytesOf(makeSuiteTrace(0, 5000));
+    const std::uint64_t huge = 1ull << 40;
+    std::memcpy(&bytes[16], &huge, sizeof(huge));
+    resealHeader(bytes);
+    TempPath file("huge");
+    putFile(file.path(), bytes);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        try {
+            FileTraceSource source(file.path(), mode);
+            FAIL() << "open accepted a 2^40-record header";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput);
+        }
     }
 }
 
 TEST(TraceIoTest, RejectsPlausibleButWrongRecordCount)
 {
-    const Trace original = makeSuiteTrace(0, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V2);
+    const std::string bytes = bytesOf(makeSuiteTrace(0, 5000));
     std::uint64_t count = 0;
     std::memcpy(&count, &bytes[16], sizeof(count));
-    count -= 1; // fewer records than present: CRC/alignment must catch
-    std::memcpy(&bytes[16], &count, sizeof(count));
-    EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
-}
-
-TEST(TraceIoTest, V3RoundTripsExplicitly)
-{
-    const Trace original = makeSuiteTrace(22, 30000); // pointer chase
-    std::stringstream ss;
-    writeTrace(ss, original, TraceFormat::V3);
-    expectEqualTraces(original, readTrace(ss));
+    for (const std::uint64_t wrong : {count - 1, count + 1}) {
+        std::string bad = bytes;
+        std::memcpy(&bad[16], &wrong, sizeof(wrong));
+        resealHeader(bad);
+        for (const auto mode : kModes)
+            EXPECT_EQ(readCode(bad, mode), ErrorCode::CorruptInput)
+                << modeName(mode) << " record count " << wrong;
+    }
 }
 
 TEST(TraceIoTest, V3RejectsTrailingGarbage)
 {
     // A chunked payload knows exactly where it ends; stray bytes after
     // the last chunk mean the file is not what its header claims.
-    const Trace original = makeSuiteTrace(1, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V3);
-    bytes += "stray";
-    EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
+    const std::string bytes = bytesOf(makeSuiteTrace(1, 5000));
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        EXPECT_EQ(readCode(bytes + "stray", mode),
+                  ErrorCode::CorruptInput);
+    }
 }
 
-TEST(TraceIoTest, V3CrcCatchesPayloadBitFlips)
-{
-    const Trace original = makeSuiteTrace(1, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V3);
-    bytes[bytes.size() / 2] ^= 0x04;
-    EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
-}
-
-TEST(TraceIoTest, V3RejectsHeaderBitFlips)
-{
-    // v3 seals the header with its own CRC, so even a flipped bit in
-    // a field that still parses (the name) is caught up front.
-    const Trace original = makeSuiteTrace(1, 5000);
-    std::string bytes = bytesOf(original, TraceFormat::V3);
-    bytes[34] ^= 0x01; // second byte of the trace name
-    EXPECT_EQ(readCode(bytes), ErrorCode::CorruptInput);
-}
+// ---------------------------------------------------------------------
+// Fault injection
 
 class TraceIoFaultTest : public ::testing::Test
 {
@@ -276,91 +558,103 @@ class TraceIoFaultTest : public ::testing::Test
 TEST_F(TraceIoFaultTest, InjectedWriteCorruptionIsAlwaysDetected)
 {
     const Trace original = makeSuiteTrace(2, 5000);
+    const std::size_t chunks =
+        (original.records().size() + kTestChunk - 1) / kTestChunk;
+    ASSERT_GT(chunks, 2u);
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         fault::Spec spec;
         spec.kind = fault::Kind::CorruptByte;
         spec.seed = seed;
-        fault::Scoped f("trace_io.write", spec);
-        const std::string bytes = bytesOf(original, TraceFormat::V2);
-        EXPECT_NE(readCode(bytes), ErrorCode::None)
-            << "seed " << seed << " corrupted a byte the reader "
-            << "failed to notice";
+        spec.firstHit = 1 + seed % chunks; // which chunk header
+        fault::Scoped f("stream.write.corrupt", spec);
+        const std::string bytes = bytesOf(original);
+        for (const auto mode : kModes)
+            EXPECT_EQ(readCode(bytes, mode), ErrorCode::CorruptInput)
+                << modeName(mode) << " seed " << seed
+                << " corrupted a byte the reader failed to notice";
     }
 }
 
 TEST_F(TraceIoFaultTest, InjectedAllocFailureIsTypedResourceError)
 {
-    const Trace original = makeSuiteTrace(2, 5000);
-    const std::string bytes = bytesOf(original, TraceFormat::V2);
+    const std::string bytes = bytesOf(makeSuiteTrace(2, 5000));
     fault::Spec spec;
     spec.kind = fault::Kind::AllocFail;
-    fault::Scoped f("trace_io.read.alloc", spec);
-    EXPECT_EQ(readCode(bytes), ErrorCode::Resource);
+    {
+        fault::Scoped f("stream.read.alloc", spec);
+        EXPECT_EQ(readCode(bytes, FileMode::Buffered),
+                  ErrorCode::Resource);
+    }
+    // Mapped chunks are served in place: there is no buffer to fail.
+    fault::Scoped f("stream.read.alloc", spec);
+    EXPECT_EQ(readCode(bytes, FileMode::Mmap), ErrorCode::None);
+    EXPECT_EQ(fault::hits("stream.read.alloc"), 0u);
+}
+
+/** Code of the FatalError @p fn throws; None if it returns. */
+template <typename Fn>
+ErrorCode
+codeOf(Fn&& fn)
+{
+    try {
+        fn();
+    } catch (const FatalError& e) {
+        return e.code();
+    }
+    return ErrorCode::None;
 }
 
 TEST_F(TraceIoFaultTest, InjectedIoFailuresAreTypedIoErrors)
 {
     const Trace original = makeSuiteTrace(2, 5000);
-    const std::string path = "/tmp/mrp_trace_io_fault_test.mrpt";
+    TempPath file("fault");
     {
-        fault::Scoped f("trace_io.save.open", fault::Spec{});
-        try {
-            saveTrace(path, original);
-            FAIL() << "expected FatalError";
-        } catch (const FatalError& e) {
-            EXPECT_EQ(e.code(), ErrorCode::Io);
-        }
-    }
-    {
-        fault::Scoped f("trace_io.write.io", fault::Spec{});
-        std::stringstream ss;
-        try {
-            writeTrace(ss, original);
-            FAIL() << "expected FatalError";
-        } catch (const FatalError& e) {
-            EXPECT_EQ(e.code(), ErrorCode::Io);
-        }
-    }
-    saveTrace(path, original);
-    {
-        fault::Scoped f("trace_io.load.open", fault::Spec{});
-        try {
-            loadTrace(path);
-            FAIL() << "expected FatalError";
-        } catch (const FatalError& e) {
-            EXPECT_EQ(e.code(), ErrorCode::Io);
-        }
-    }
-    {
-        fault::Scoped f("trace_io.read", fault::Spec{});
-        EXPECT_EQ(readCode(bytesOf(original, TraceFormat::V2)),
+        fault::Scoped f("stream.write", fault::Spec{});
+        EXPECT_EQ(codeOf([&] { writeFile(file.path(), original); }),
                   ErrorCode::Io);
     }
-    expectEqualTraces(original, loadTrace(path)); // all disarmed
-    std::remove(path.c_str());
+    writeFile(file.path(), original);
+    for (const auto mode : kModes) {
+        SCOPED_TRACE(modeName(mode));
+        for (const char* site : {"stream.open", "stream.read"}) {
+            fault::Scoped f(site, fault::Spec{});
+            EXPECT_EQ(codeOf([&] { readFile(file.path(), mode); }),
+                      ErrorCode::Io)
+                << site;
+        }
+    }
+    {
+        fault::Scoped f("stream.mmap", fault::Spec{});
+        EXPECT_EQ(codeOf([&] { readFile(file.path(), FileMode::Mmap); }),
+                  ErrorCode::Io);
+    }
+    for (const auto mode : kModes) // all disarmed
+        expectEqualTraces(original, readFile(file.path(), mode));
 }
 
 TEST_F(TraceIoFaultTest, FailedSaveLeavesTargetAndNoTmpBehind)
 {
     const Trace original = makeSuiteTrace(2, 5000);
-    const std::string path = "/tmp/mrp_trace_io_atomic_test.mrpt";
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    saveTrace(path, original);
+    TempPath file("atomic");
+    writeFile(file.path(), original);
+    const std::string before = slurp(file.path());
     {
-        // Fault the serializer: the save must abort before the
-        // filesystem is touched, leaving the previous file intact.
-        fault::Scoped f("trace_io.write.io", fault::Spec{});
-        EXPECT_THROW(saveTrace(path, original), FatalError);
+        // Fail the second chunk append: the abandoned writer removes
+        // its tmp and the previous file stays intact.
+        fault::Spec spec;
+        spec.firstHit = 3; // hit 1 creates the tmp, hit 2 is chunk 1
+        fault::Scoped f("stream.write", spec);
+        EXPECT_THROW(writeFile(file.path(), makeSuiteTrace(3, 5000)),
+                     FatalError);
     }
-    EXPECT_EQ(std::remove(tmp.c_str()), -1)
+    EXPECT_FALSE(std::ifstream(file.tmp()).good())
         << "a tmp file survived a failed save";
-    expectEqualTraces(original, loadTrace(path));
+    EXPECT_EQ(slurp(file.path()), before);
 
     // A successful save also cleans up after itself.
-    saveTrace(path, original);
-    EXPECT_EQ(std::remove(tmp.c_str()), -1);
-    std::remove(path.c_str());
+    writeFile(file.path(), original);
+    EXPECT_FALSE(std::ifstream(file.tmp()).good());
+    EXPECT_EQ(slurp(file.path()), before);
 }
 
 } // namespace
