@@ -68,7 +68,7 @@ main()
     for (unsigned b = 0; b < trace::suiteSize(); ++b) {
         const auto tr = trace::makeSuiteTrace(b, insts);
         trace::MaterializedTraceSource src(tr);
-        sim::runSingleCoreObserved(src, lru, scfg, probe.get());
+        sim::runSingleCore(src, lru, scfg, probe.get());
         std::fprintf(stderr, "# measured %s\n", tr.name().c_str());
     }
 

@@ -94,6 +94,7 @@
  * paper-default instance and is omitted from reports.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -312,6 +313,11 @@ run(int argc, char** argv)
             prefetch = false;
         } else if (arg == "--warmup") {
             warmup = std::atof(next());
+            // Checked here, before a mix turns it into an instruction
+            // budget (a negative one would never be reached).
+            fatalIf(!std::isfinite(warmup) || warmup < 0.0 ||
+                        warmup >= 1.0,
+                    ErrorCode::Config, "--warmup must be in [0, 1)");
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));

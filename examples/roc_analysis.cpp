@@ -60,7 +60,7 @@ main(int argc, char** argv)
     for (const unsigned b : benches) {
         const auto tr = trace::makeSuiteTrace(b, insts);
         trace::MaterializedTraceSource src(tr);
-        sim::runSingleCoreObserved(src, lru, cfg, &probe);
+        sim::runSingleCore(src, lru, cfg, &probe);
         std::printf("measured %s\n", tr.name().c_str());
     }
 

@@ -31,9 +31,7 @@ Cycle
 Hierarchy::access(CoreId core, Pc pc, Addr addr, bool is_write,
                   const CoreContext* ctx)
 {
-    // Not panicIf: it would build the message on every access.
-    if (core >= cfg_.cores)
-        panic("core id out of range");
+    panicIf(core >= cfg_.cores, "core id out of range");
 
     if (l1_[core].access(addr, is_write)) {
         if (prefetchTracking_)

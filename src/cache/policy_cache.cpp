@@ -160,9 +160,8 @@ PolicyCache::access(const AccessInfo& info)
         fill_way = fill_mask != 0
                        ? policy_->victimWayIn(info, set, fill_mask)
                        : policy_->victimWay(info, set);
-        // Not panicIf: it would build the message on every eviction.
-        if (fill_way >= geom_.ways() || (allowed >> fill_way & 1) == 0)
-            panic("policy returned a victim way outside the fill mask");
+        panicIf(fill_way >= geom_.ways() || (allowed >> fill_way & 1) == 0,
+                "policy returned a victim way outside the fill mask");
         const std::size_t victim = slot(set, fill_way);
         result.victim.valid = true;
         result.victim.blockAddress = geom_.blockAddrOf(set, tags_[victim]);

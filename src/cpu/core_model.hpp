@@ -66,7 +66,7 @@ class CoreModel
 
     /**
      * Cycle at which the next instruction would enter the window
-     * (the multi-core driver steps the earliest core first).
+     * (the simulation driver steps the earliest core first).
      */
     Cycle nextEnterCycle() const;
 

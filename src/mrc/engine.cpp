@@ -81,7 +81,8 @@ buildProfile(trace::TraceSource& source, const MrcConfig& cfg)
 {
     MRP_PROF_SCOPE("mrc.build");
     const std::vector<Addr> sizes = normalizeSizes(cfg);
-    fatalIf(cfg.warmupFraction < 0.0 || cfg.warmupFraction >= 1.0,
+    fatalIf(!std::isfinite(cfg.warmupFraction) ||
+                cfg.warmupFraction < 0.0 || cfg.warmupFraction >= 1.0,
             ErrorCode::Config,
             "MRC warmup fraction must be in [0, 1)");
     const bool sampled = cfg.mode != MrcMode::Exact;

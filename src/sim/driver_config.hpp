@@ -1,12 +1,12 @@
 /**
  * @file
- * Configuration shared by every simulation driver.
+ * Configuration shared by every simulation entry point.
  *
  * SingleCoreConfig and MultiCoreConfig used to duplicate the hierarchy
  * and warmup knobs as unrelated structs, which made it impossible to
  * pass "a driver configuration" around generically (the experiment
  * runner needs exactly that). DriverConfig is now the common base:
- * hierarchy sizing plus both warmup schemes the drivers use.
+ * hierarchy sizing plus both warmup schemes the driver uses.
  */
 
 #ifndef MRP_SIM_DRIVER_CONFIG_HPP
@@ -26,11 +26,15 @@ namespace mrp::sim {
  * configs do not re-declare them (which is how SingleCoreConfig and
  * MultiCoreConfig drifted apart historically — add new shared fields
  * HERE, not in the derived structs):
- *  - warmupFraction: warm for a fraction of the trace (single-thread
- *    drivers, §4.1);
- *  - warmupInstructions: warm until a total retired-instruction budget
- *    across all cores is reached (multi-core FIESTA scheme, §4.2).
- * Each driver documents which field it honours.
+ *  - warmupFraction: warm for a fraction of the trace (runSingleCore
+ *    and runSingleCoreMin, §4.1). Every run rejects a value that is
+ *    not finite or lies outside [0, 1).
+ *  - warmupInstructions: warm until a retired-instruction budget is
+ *    reached (the FIESTA scheme of §4.2): in total across cores for a
+ *    shared mix, as an equal per-core share for a partitioned mix, and
+ *    as a quarter per core for standaloneIpc.
+ * One engine runs every entry point; DESIGN.md §6 "Simulation driver"
+ * spells out which rule each one uses.
  */
 struct DriverConfig
 {
@@ -53,7 +57,7 @@ struct DriverConfig
 
     /**
      * Experiment RNG seed. The simulation itself is deterministic, so
-     * the drivers do not draw from it; its job is provenance: the
+     * the driver does not draw from it; its job is provenance: the
      * runner stamps it into every RunResult and the reports/journal
      * record it (when nonzero), so a study can be replayed from its
      * report alone. Callers that re-seed their inputs (trace

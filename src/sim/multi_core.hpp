@@ -49,7 +49,7 @@ struct MultiCoreConfig : DriverConfig
 {
     MultiCoreConfig() { hierarchy = cache::multiCoreConfig(); }
 
-    Cycle measureCycles = 500000; //!< per-core window
+    Cycle measureCycles = 500000; //!< per-core window; must be > 0
 
     /**
      * Optional multi-tenant LLC: one tenant per core. Empty (the
@@ -98,7 +98,7 @@ struct MultiCoreResult
 /**
  * Run a mix of >= 2 sources under the policy built by @p factory, one
  * core per source. Each core owns its source exclusively for the whole
- * run (the drivers loop the sources via reset(), so each must be
+ * run (the driver loops the sources via reset(), so each must be
  * independently resettable — the TraceSpec factory hands out exactly
  * such sources). Results are byte-identical for any chunking or
  * delivery mode of the same record sequences.
@@ -121,7 +121,9 @@ runMultiCore(const std::array<trace::TraceSource*, 4>& mix,
 /**
  * Standalone IPC of one benchmark on the multi-core hierarchy with an
  * LRU LLC (the SingleIPC_i of §4.5), using the same loop-and-measure
- * scheme as the mixed run.
+ * scheme as the mixed run. Warmup is warmupInstructions / 4, a 4-core
+ * mix's per-core share, whatever the mix size; telemetry is never
+ * attached.
  */
 double standaloneIpc(trace::TraceSource& source,
                      const MultiCoreConfig& cfg = {});

@@ -24,9 +24,9 @@ struct RunTelemetry;
 namespace mrp::sim {
 
 /**
- * Single-thread driver parameters. The hierarchy and warmup knobs
- * live in DriverConfig (the single-thread driver honours
- * warmupFraction); declare new shared fields there, not here.
+ * Single-thread run parameters. The hierarchy and warmup knobs live
+ * in DriverConfig (single-core runs honour warmupFraction); declare
+ * new shared fields there, not here.
  */
 struct SingleCoreConfig : DriverConfig
 {
@@ -50,22 +50,16 @@ struct SingleCoreResult
 
 /**
  * Stream @p source under the policy built by @p factory. The source
- * is consumed from its current position (pass a fresh or reset one)
- * and left exhausted. Results are byte-identical for any chunking or
- * delivery mode of the same record sequence.
+ * is reset, replayed once and left exhausted. Results are
+ * byte-identical for any chunking or delivery mode of the same record
+ * sequence. A passive LLC @p observer (ROC probes, access recorders)
+ * sees the whole run, warmup included; it cannot be combined with
+ * telemetry.
  */
 SingleCoreResult runSingleCore(trace::TraceSource& source,
                                const PolicyFactory& factory,
-                               const SingleCoreConfig& cfg = {});
-
-/**
- * As runSingleCore, with a passive LLC observer attached (ROC probes,
- * access recorders). The observer sees the whole run, warmup included.
- */
-SingleCoreResult runSingleCoreObserved(trace::TraceSource& source,
-                                       const PolicyFactory& factory,
-                                       const SingleCoreConfig& cfg,
-                                       cache::LlcObserver* observer);
+                               const SingleCoreConfig& cfg = {},
+                               cache::LlcObserver* observer = nullptr);
 
 /**
  * Run @p source under Belady's MIN with optimal bypass: a recording

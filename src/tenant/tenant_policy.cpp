@@ -117,7 +117,7 @@ TenantPartitionPolicy::attachTelemetry(
     // Policy-internal probes (predictor weights, sampler state) use
     // fixed metric names, so only one inner may register them; tenant 0
     // is the documented owner. Partition-level tenant.* metrics are
-    // registered by the multi-core driver, which can also see
+    // registered by the simulation driver, which can also see
     // occupancy and misses.
     inners_[0]->attachTelemetry(registry);
 }

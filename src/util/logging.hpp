@@ -126,28 +126,32 @@ fatal(ErrorCode code, const std::string& msg)
     throw FatalError(code, msg);
 }
 
-/** Panic unless a condition holds. */
+/**
+ * Panic unless a condition holds. The checks take the message as a
+ * view and build a std::string only when they fail, so a passing check
+ * on a hot path allocates nothing.
+ */
 inline void
-panicIf(bool cond, const std::string& msg)
+panicIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(std::string(msg));
 }
 
 /** Fatal error unless a condition holds. */
 inline void
-fatalIf(bool cond, const std::string& msg)
+fatalIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(std::string(msg));
 }
 
 /** Classified fatal error unless a condition holds. */
 inline void
-fatalIf(bool cond, ErrorCode code, const std::string& msg)
+fatalIf(bool cond, ErrorCode code, std::string_view msg)
 {
-    if (cond)
-        fatal(code, msg);
+    if (cond) [[unlikely]]
+        fatal(code, std::string(msg));
 }
 
 } // namespace mrp

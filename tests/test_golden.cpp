@@ -18,12 +18,14 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <ostream>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "policy/min.hpp"
 #include "sim/multi_core.hpp"
 #include "sim/policies.hpp"
 #include "sim/single_core.hpp"
@@ -260,6 +262,264 @@ TEST(GoldenCountersTest, MultiCoreMixMatchesFrozenTable)
             << "actual: {" << core_insts[0] << ", " << core_insts[1]
             << ", " << core_insts[2] << ", " << core_insts[3] << '}';
     }
+}
+
+// The rows below pin the driver paths the tables above do not reach:
+// a fixed-partition mix, a QoS mix that resizes, MIN's two-pass run,
+// standalone IPC and an observed single-core run. They were recorded
+// before the single-core and multi-core drivers were merged into one
+// engine.
+
+/** Hex-float text of @p v (exact), for failure messages. */
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/** One tenant's pinned outcome. */
+struct TenantRow
+{
+    std::uint32_t waysInitial;
+    std::uint32_t waysFinal;
+    std::uint64_t demandMisses;
+    std::uint64_t instructions;
+    double mpki;
+};
+
+void
+expectTenants(const MultiCoreResult& r, const std::vector<TenantRow>& rows)
+{
+    ASSERT_EQ(r.tenants.size(), rows.size());
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+        const TenantOutcome& o = r.tenants[t];
+        SCOPED_TRACE("tenant " + std::to_string(t));
+        EXPECT_EQ(o.waysInitial, rows[t].waysInitial);
+        EXPECT_EQ(o.waysFinal, rows[t].waysFinal);
+        EXPECT_EQ(o.demandMisses, rows[t].demandMisses);
+        EXPECT_EQ(o.instructions, rows[t].instructions);
+        EXPECT_EQ(o.mpki, rows[t].mpki) << hexFloat(o.mpki);
+        EXPECT_EQ(r.instructions.at(t), rows[t].instructions);
+    }
+}
+
+/** Run a two-core mix of suite traces under @p cfg. */
+MultiCoreResult
+runPair(const char* a, const char* b, InstCount region,
+        const char* policy, const MultiCoreConfig& cfg)
+{
+    trace::MaterializedTraceSource sa(
+        trace::makeSuiteTrace(suiteIndex(a), region));
+    trace::MaterializedTraceSource sb(
+        trace::makeSuiteTrace(suiteIndex(b), region));
+    return runMultiCore(std::vector<trace::TraceSource*>{&sa, &sb},
+                        PolicyRegistry::make(policy), cfg);
+}
+
+MultiCoreConfig
+pairConfig(std::uint32_t ways0, std::uint32_t ways1)
+{
+    MultiCoreConfig cfg;
+    cfg.hierarchy.llcBytes = 256 * 1024;
+    cfg.warmupInstructions = 40000;
+    cfg.measureCycles = 60000;
+    cfg.tenancy.tenants.resize(2);
+    cfg.tenancy.tenants[0].ways = ways0;
+    cfg.tenancy.tenants[1].ways = ways1;
+    return cfg;
+}
+
+// Fixed 10/6 partition of a 256KB LLC, MPPPB-MC (private predictor
+// state per tenant). Columns: ways initial, ways final, demand misses,
+// measured instructions, MPKI.
+const std::vector<TenantRow> kPartitionTenants = {
+    {10, 10, 3728, 32065, 0x1.d10e2bd4ba577p+6},
+    {6, 6, 3999, 27999, 0x1.1da72ee089ce6p+7},
+};
+constexpr std::uint64_t kPartitionMisses = 7727;
+
+TEST(GoldenDriverTest, FixedPartitionMixMatchesFrozenRows)
+{
+    for (const bool telemetry : {false, true}) {
+        SCOPED_TRACE(telemetry ? "telemetry" : "plain");
+        MultiCoreConfig cfg = pairConfig(10, 6);
+        cfg.telemetry.enabled = telemetry;
+        const auto r =
+            runPair("gups.2x", "thrash.2x", 120000, "MPPPB-MC", cfg);
+        expectTenants(r, kPartitionTenants);
+        EXPECT_EQ(r.llcDemandMisses, kPartitionMisses);
+        EXPECT_TRUE(r.qosSchedule.empty());
+        if (telemetry) {
+            ASSERT_NE(r.telemetry, nullptr);
+            EXPECT_EQ(counterOf(*r.telemetry, "tenant.0.ways"), 10u);
+            EXPECT_EQ(counterOf(*r.telemetry, "tenant.1.ways"), 6u);
+        }
+    }
+}
+
+// A 4/12 split whose first tenant breaches a 0.05 MPKI SLO every
+// 10k-instruction epoch, so QoS grants it ways. Schedule rows are
+// {epoch, donor, receiver}.
+const std::vector<std::array<std::uint64_t, 3>> kQosSchedule = {
+    {0, 1, 0}, {1, 1, 0}, {2, 1, 0}};
+const std::vector<TenantRow> kQosTenants = {
+    {4, 7, 3721, 22011, 0x1.521a8a792ac4p+7},
+    {12, 9, 4000, 16001, 0x1.f3f80020c4157p+7},
+};
+
+TEST(GoldenDriverTest, QosMixResizeScheduleMatchesFrozenRows)
+{
+    for (const bool telemetry : {false, true}) {
+        SCOPED_TRACE(telemetry ? "telemetry" : "plain");
+        MultiCoreConfig cfg = pairConfig(4, 12);
+        cfg.tenancy.tenants[0].sloMpki = 0.05;
+        cfg.tenancy.qos.enabled = true;
+        cfg.tenancy.qos.epochInstructions = 10000;
+        cfg.tenancy.qos.breachEpochs = 1;
+        cfg.telemetry.enabled = telemetry;
+        const auto r = runPair("scan.a", "sets.hotcold", 150000, "LRU", cfg);
+        std::vector<std::array<std::uint64_t, 3>> schedule;
+        for (const auto& q : r.qosSchedule)
+            schedule.push_back({q.epoch, q.from, q.to});
+        EXPECT_EQ(schedule, kQosSchedule);
+        expectTenants(r, kQosTenants);
+        EXPECT_EQ(r.tenants[0].sloMpki, 0.05);
+        if (telemetry) {
+            ASSERT_NE(r.telemetry, nullptr);
+            EXPECT_EQ(counterOf(*r.telemetry, "tenant.qos_resizes"),
+                      kQosSchedule.size());
+        }
+    }
+}
+
+/** The SingleCoreResult fields one MIN or observed row pins. */
+struct SingleRow
+{
+    const char* benchmark;
+    std::uint64_t instructions;
+    std::uint64_t cycles;
+    std::uint64_t llcDemandAccesses;
+    std::uint64_t llcDemandMisses;
+    std::uint64_t llcBypasses;
+    double ipc;
+};
+
+void
+expectSingle(const SingleCoreResult& r, const SingleRow& row)
+{
+    EXPECT_EQ(r.instructions, row.instructions);
+    EXPECT_EQ(r.cycles, row.cycles);
+    EXPECT_EQ(r.llcDemandAccesses, row.llcDemandAccesses);
+    EXPECT_EQ(r.llcDemandMisses, row.llcDemandMisses);
+    EXPECT_EQ(r.llcBypasses, row.llcBypasses);
+    EXPECT_EQ(r.ipc, row.ipc) << hexFloat(r.ipc);
+}
+
+// Belady's MIN (recording pre-pass + replay), default hierarchy.
+const std::vector<SingleRow> kMinRows = {
+    {"gups.2x", 150000, 276932, 17587, 14709, 41, 0x1.15530bb3fdad9p-1},
+    {"stream.mid", 150003, 262329, 9756, 9756, 5987, 0x1.24c49b7ae90b6p-1},
+};
+
+TEST(GoldenDriverTest, MinRunsMatchFrozenRows)
+{
+    for (const auto& row : kMinRows) {
+        SCOPED_TRACE(row.benchmark);
+        trace::MaterializedTraceSource src(trace::makeSuiteTrace(
+            suiteIndex(row.benchmark), kSingleInsts));
+        const auto r = runSingleCoreMin(src);
+        EXPECT_EQ(r.policy, "MIN");
+        expectSingle(r, row);
+    }
+}
+
+// Standalone IPC (LRU, 1 core, looping) of the golden mix's traces
+// under the mix's warmup budget and window.
+const std::array<double, 4> kStandaloneIpc = {
+    0x1.dd41743e963dcp-2, 0x1.994317acc4ef9p-2, 0x1.74bf0995aaf79p-2,
+    0x1.10ed3d859c8c9p-2};
+
+TEST(GoldenDriverTest, StandaloneIpcMatchesFrozenBits)
+{
+    MultiCoreConfig cfg;
+    cfg.warmupInstructions = 400000;
+    cfg.measureCycles = 100000;
+    for (std::size_t k = 0; k < kMix.size(); ++k) {
+        SCOPED_TRACE(kMix[k]);
+        trace::MaterializedTraceSource src(
+            trace::makeSuiteTrace(suiteIndex(kMix[k]), kMixRegion));
+        const double ipc = standaloneIpc(src, cfg);
+        EXPECT_EQ(ipc, kStandaloneIpc[k]) << hexFloat(ipc);
+    }
+}
+
+/** FNV-1a (64-bit) over the little-endian bytes of @p seq. */
+std::uint64_t
+fnv1a(const std::vector<Addr>& seq)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const Addr a : seq) {
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (a >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+// An LRU run with an access recorder attached: the observer sees the
+// whole run, warmup included.
+const SingleRow kObservedRow = {"sets.hotcold", 150000, 545039, 37500,
+                                 36334, 0, 0x1.19d08fe7e6327p-2};
+constexpr std::size_t kObservedLength = 83336;
+constexpr std::uint64_t kObservedHash = 0x38a8a35f6ae1f340ull;
+
+TEST(GoldenDriverTest, ObservedRunMatchesFrozenSequence)
+{
+    trace::MaterializedTraceSource src(trace::makeSuiteTrace(
+        suiteIndex(kObservedRow.benchmark), kSingleInsts));
+    policy::LlcAccessRecorder recorder;
+    const auto r = runSingleCore(src, PolicyRegistry::make("LRU"),
+                                 SingleCoreConfig{}, &recorder);
+    expectSingle(r, kObservedRow);
+    EXPECT_EQ(recorder.sequence().size(), kObservedLength);
+    EXPECT_EQ(fnv1a(recorder.sequence()), kObservedHash);
+}
+
+// Zero warmup budgets, where the warmup rules' edge cases decide the
+// window: a shared mix measures from the first record, a partitioned
+// tenant from the end of its own first record, standalone IPC from
+// the first record. Columns: per-core instructions, then LLC demand
+// misses of the mix.
+const std::array<std::uint64_t, 3> kNoWarmupShared = {31897, 27889, 7849};
+const std::array<std::uint64_t, 3> kNoWarmupPartitioned = {32024, 28000,
+                                                           7873};
+constexpr double kNoWarmupStandaloneIpc = 0x1.10300f4aaf092p-1;
+
+TEST(GoldenDriverTest, ZeroWarmupBudgetsMatchFrozenRows)
+{
+    MultiCoreConfig cfg = pairConfig(10, 6);
+    cfg.warmupInstructions = 0;
+    const auto part = runPair("gups.2x", "thrash.2x", 120000, "LRU", cfg);
+    cfg.tenancy = {};
+    const auto shared = runPair("gups.2x", "thrash.2x", 120000, "LRU", cfg);
+    const std::array<std::uint64_t, 3> got_shared = {
+        shared.instructions.at(0), shared.instructions.at(1),
+        shared.llcDemandMisses};
+    const std::array<std::uint64_t, 3> got_part = {
+        part.instructions.at(0), part.instructions.at(1),
+        part.llcDemandMisses};
+    EXPECT_EQ(got_shared, kNoWarmupShared)
+        << got_shared[0] << ", " << got_shared[1] << ", " << got_shared[2];
+    EXPECT_EQ(got_part, kNoWarmupPartitioned)
+        << got_part[0] << ", " << got_part[1] << ", " << got_part[2];
+
+    trace::MaterializedTraceSource src(
+        trace::makeSuiteTrace(suiteIndex("gups.2x"), 120000));
+    const double ipc = standaloneIpc(src, cfg);
+    EXPECT_EQ(ipc, kNoWarmupStandaloneIpc) << hexFloat(ipc);
 }
 
 } // namespace

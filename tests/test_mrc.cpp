@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -197,6 +198,23 @@ TEST(MrcEngineTest, AllColdScanMissesEverywhere)
     for (const auto& pt : p.points)
         EXPECT_DOUBLE_EQ(pt.missRatio, 1.0)
             << "at " << pt.bytes << " bytes";
+}
+
+TEST(MrcEngineTest, RejectsWarmupFractionOutsideUnitInterval)
+{
+    trace::MaterializedTraceSource src(
+        loadTrace("scan", std::vector<Addr>{1, 2, 3}));
+    for (const double bad :
+         {-0.5, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        MrcConfig cfg;
+        cfg.warmupFraction = bad;
+        try {
+            (void)buildProfile(src, cfg);
+            ADD_FAILURE() << "accepted warmup fraction " << bad;
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+        }
+    }
 }
 
 TEST(MrcEngineTest, SingleBlockTraceIsOneColdTouch)

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the simulation drivers: single-core, the MIN two-pass
- * runner, the multi-core FIESTA-style driver, weighted speedup, and
- * the policy factory.
+ * runner, the multi-core FIESTA-style driver, weighted speedup, the
+ * policy factory, and the driver's rejection of bad warmup and window
+ * settings.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/multi_core.hpp"
@@ -181,6 +184,75 @@ TEST(MultiCoreTest, SharedCacheContentionReducesIpc)
         const double solo = standaloneIpc(solo_src, cfg);
         EXPECT_LE(r.ipc[c], solo * 1.10) << traces[c]->name();
     }
+}
+
+/** Expect @p run to throw a FatalError classified as a config error. */
+void
+expectConfigError(const std::function<void()>& run)
+{
+    try {
+        run();
+        ADD_FAILURE() << "no FatalError thrown";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+    }
+}
+
+TEST(DriverValidationTest, RejectsWarmupFractionOutsideUnitInterval)
+{
+    const auto tr = trace::makeSuiteTrace(4, 60000);
+    for (const double bad :
+         {-0.5, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        SCOPED_TRACE(bad);
+        SingleCoreConfig cfg;
+        cfg.warmupFraction = bad;
+        trace::MaterializedTraceSource src(tr);
+        expectConfigError(
+            [&] { runSingleCore(src, makePolicyFactory("LRU"), cfg); });
+        expectConfigError([&] { runSingleCoreMin(src, cfg); });
+
+        MultiCoreConfig mcfg;
+        mcfg.warmupInstructions = 20000;
+        mcfg.measureCycles = 20000;
+        mcfg.warmupFraction = bad;
+        trace::MaterializedTraceSource a(tr), b(tr);
+        expectConfigError([&] {
+            runMultiCore(std::vector<trace::TraceSource*>{&a, &b},
+                         makePolicyFactory("LRU"), mcfg);
+        });
+    }
+}
+
+TEST(DriverValidationTest, RejectsEmptyMeasureWindow)
+{
+    const auto tr = trace::makeSuiteTrace(4, 60000);
+    MultiCoreConfig cfg;
+    cfg.warmupInstructions = 20000;
+    cfg.measureCycles = 0;
+    trace::MaterializedTraceSource a(tr), b(tr);
+    expectConfigError([&] {
+        runMultiCore(std::vector<trace::TraceSource*>{&a, &b},
+                     makePolicyFactory("LRU"), cfg);
+    });
+    cfg.tenancy.tenants.resize(2);
+    cfg.tenancy.tenants[0].ways = 8;
+    cfg.tenancy.tenants[1].ways = 8;
+    expectConfigError([&] {
+        runMultiCore(std::vector<trace::TraceSource*>{&a, &b},
+                     makePolicyFactory("LRU"), cfg);
+    });
+    expectConfigError([&] { standaloneIpc(a, cfg); });
+}
+
+TEST(DriverValidationTest, AcceptsTheIntervalBounds)
+{
+    // 0 is the inclusive end: no warmup, every instruction measured.
+    const auto tr = trace::makeSuiteTrace(4, 60000);
+    SingleCoreConfig cfg;
+    cfg.warmupFraction = 0.0;
+    trace::MaterializedTraceSource src(tr);
+    const auto r = runSingleCore(src, makePolicyFactory("LRU"), cfg);
+    EXPECT_EQ(r.instructions, tr.instructions());
 }
 
 } // namespace

@@ -188,9 +188,8 @@ TEST(TelemetryIntegrationTest, ObserverAndTelemetryAreExclusive)
     const auto tr = trace::makeSuiteTrace(4, 120000);
     trace::MaterializedTraceSource src(tr);
     cache::LlcObserver obs;
-    EXPECT_THROW(sim::runSingleCoreObserved(
-                     src, sim::makePolicyFactory("LRU"),
-                     telemetryConfig(), &obs),
+    EXPECT_THROW(sim::runSingleCore(src, sim::makePolicyFactory("LRU"),
+                                    telemetryConfig(), &obs),
                  FatalError);
 }
 

@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the utility layer: bit manipulation, saturating
- * counters, RNG, history buffer, and numeric helpers.
+ * counters, RNG, history buffer, numeric helpers, and the cost of a
+ * passing panicIf/fatalIf check.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <vector>
 
@@ -17,6 +21,34 @@
 #include "util/types.hpp"
 #include "util/rng.hpp"
 #include "util/sat_counter.hpp"
+
+// Counts every allocation in this binary, so a test can require that a
+// code path allocates nothing. The deletes stay out of line: inlined
+// into a caller, GCC would flag free() on memory from operator new.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}
+
+void*
+operator new(std::size_t n)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace mrp {
 namespace {
@@ -225,6 +257,30 @@ TEST(HashTest, SkewedHashesAreIndependent)
         if (skewedHash(pc, 0) % 4096 == skewedHash(pc, 1) % 4096)
             ++collisions;
     EXPECT_LT(collisions, 10);
+}
+
+TEST(LoggingTest, PassingChecksDoNotAllocate)
+{
+    // Longer than the small-string buffer: building the message as a
+    // std::string would allocate.
+    const char* msg = "a message longer than fifteen chars";
+    volatile bool fail = false;
+    const std::size_t before = g_allocations.load();
+    panicIf(fail, "a message longer than fifteen chars");
+    panicIf(fail, msg);
+    fatalIf(fail, msg);
+    fatalIf(fail, ErrorCode::Config, msg);
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+
+    EXPECT_THROW(panicIf(true, msg), PanicError);
+    try {
+        fatalIf(true, ErrorCode::Io, msg);
+        ADD_FAILURE() << "fatalIf(true) returned";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Io);
+        EXPECT_STREQ(e.what(),
+                     "fatal: a message longer than fifteen chars");
+    }
 }
 
 TEST(Types, BlockArithmetic)
