@@ -53,7 +53,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,6 +63,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/session.hpp"
 #include "util/fault_injection.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -120,26 +120,21 @@ run(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--workers") {
-            bcfg.workers = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            bcfg.workers = flagInteger<unsigned>(arg, next());
         } else if (arg == "--worker-bin") {
             bcfg.workerBin = next();
         } else if (arg == "--queue") {
             bcfg.queuePath = next();
         } else if (arg == "--heartbeat-ms") {
-            bcfg.heartbeatMs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            bcfg.heartbeatMs = flagInteger<unsigned>(arg, next());
         } else if (arg == "--heartbeat-timeout-ms") {
-            bcfg.heartbeatTimeoutMs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            bcfg.heartbeatTimeoutMs = flagInteger<unsigned>(arg, next());
         } else if (arg == "--max-attempts") {
-            bcfg.maxAttempts = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            bcfg.maxAttempts = flagInteger<unsigned>(arg, next());
         } else if (arg == "--backoff") {
-            bcfg.backoffSeconds = std::atof(next());
+            bcfg.backoffSeconds = flagDouble(arg, next());
         } else if (arg == "--restart-budget") {
-            bcfg.workerRestartBudget = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            bcfg.workerRestartBudget = flagInteger<unsigned>(arg, next());
         } else if (arg == "--worker-arg") {
             bcfg.workerArgs.push_back(next());
         } else if (arg == "--fault") {
@@ -150,10 +145,10 @@ run(int argc, char** argv)
             bcfg.workerArgs.push_back(spec);
         } else if (arg == "--kill-after-leases") {
             bcfg.killWorkerAfterLeases =
-                std::strtoull(next(), nullptr, 10);
+                flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--abort-after-completions") {
             bcfg.chaosAbortAfterCompletions =
-                std::strtoull(next(), nullptr, 10);
+                flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--metrics-out") {
             metrics_out = next();
         } else if (arg == "--fleet-trace-out") {
@@ -161,7 +156,7 @@ run(int argc, char** argv)
         } else if (arg == "--fleet-metrics-out") {
             fleet_metrics_out = next();
         } else if (arg == "--straggler-k") {
-            straggler_k = std::atof(next());
+            straggler_k = flagDouble(arg, next());
         } else {
             return usage();
         }

@@ -40,7 +40,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -50,6 +49,7 @@
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
 #include "sweep_cli_common.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -172,31 +172,28 @@ run(int argc, char** argv)
         };
         if (arg == "--workloads") {
             for (const auto& w : cli::splitCommas(next()))
-                o.workloads.push_back(static_cast<unsigned>(
-                    std::strtoul(w.c_str(), nullptr, 10)));
+                o.workloads.push_back(flagInteger<unsigned>(arg, w));
         } else if (arg == "--corpus") {
             o.corpusFamilies = cli::splitCommas(next());
         } else if (arg == "--insts") {
-            o.insts = std::strtoull(next(), nullptr, 10);
+            o.insts = flagInteger<std::uint64_t>(arg, next());
             fatalIf(o.insts == 0, "--insts must be positive");
         } else if (arg == "--seed") {
-            o.seed = std::strtoull(next(), nullptr, 10);
+            o.seed = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--sizes-kb") {
             for (const auto& s : cli::splitCommas(next()))
                 o.mrc.sizesBytes.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10) * 1024);
+                    flagInteger<std::uint64_t>(arg, s) * 1024);
         } else if (arg == "--mode") {
             o.mrc.mode = mrc::parseMrcMode(next());
         } else if (arg == "--rate-log2") {
-            o.mrc.rateLog2 = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            o.mrc.rateLog2 = flagInteger<unsigned>(arg, next());
         } else if (arg == "--max-samples") {
-            o.mrc.maxSamples = std::strtoull(next(), nullptr, 10);
+            o.mrc.maxSamples = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--warmup") {
-            o.mrc.warmupFraction = std::atof(next());
+            o.mrc.warmupFraction = flagDouble(arg, next());
         } else if (arg == "--jobs") {
-            o.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            o.jobs = flagInteger<unsigned>(arg, next());
         } else if (arg == "--decode-ahead") {
             o.decodeAhead = true;
         } else if (arg == "--out") {
@@ -204,20 +201,18 @@ run(int argc, char** argv)
         } else if (arg == "--check-sim") {
             o.checkSim = true;
         } else if (arg == "--tolerance-pp") {
-            o.tolerancePp = std::atof(next());
+            o.tolerancePp = flagDouble(arg, next());
         } else if (arg == "--suggest-partition") {
             o.suggestPartition = true;
         } else if (arg == "--llc-kb") {
             o.advisor.llcBytes =
-                std::strtoull(next(), nullptr, 10) * 1024;
+                flagInteger<std::uint64_t>(arg, next()) * 1024;
         } else if (arg == "--llc-ways") {
-            o.advisor.llcWays = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            o.advisor.llcWays = flagInteger<unsigned>(arg, next());
         } else if (arg == "--min-ways") {
-            o.advisor.minWays = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            o.advisor.minWays = flagInteger<unsigned>(arg, next());
         } else if (arg == "--knee-fraction") {
-            o.advisor.kneeFraction = std::atof(next());
+            o.advisor.kneeFraction = flagDouble(arg, next());
         } else {
             return usage();
         }

@@ -96,7 +96,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -110,6 +109,7 @@
 #include "trace/stream_reader.hpp"
 #include "trace/workloads.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -184,7 +184,7 @@ streamFamilySpec(const std::string& name, InstCount insts,
         if (seed != 0)
             p.seed = seed;
         if (name.size() > 5) {
-            p.theta = std::atof(name.c_str() + 5);
+            p.theta = flagDouble("--benchmark zipf:THETA", name.substr(5));
             p.name = name;
         }
         return trace::TraceSpec::zipf(p);
@@ -306,21 +306,20 @@ run(int argc, char** argv)
         } else if (arg == "--policy") {
             policy = next();
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
+            insts = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--llc-kb") {
-            llc_kb = std::strtoull(next(), nullptr, 10);
+            llc_kb = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--no-prefetch") {
             prefetch = false;
         } else if (arg == "--warmup") {
-            warmup = std::atof(next());
+            warmup = flagDouble(arg, next());
             // Checked here, before a mix turns it into an instruction
             // budget (a negative one would never be reached).
             fatalIf(!std::isfinite(warmup) || warmup < 0.0 ||
                         warmup >= 1.0,
                     ErrorCode::Config, "--warmup must be in [0, 1)");
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            jobs = flagInteger<unsigned>(arg, next());
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--csv") {
@@ -332,16 +331,15 @@ run(int argc, char** argv)
         } else if (arg == "--resume") {
             ropts.resumePath = next();
         } else if (arg == "--timeout") {
-            ropts.timeoutSeconds = std::atof(next());
+            ropts.timeoutSeconds = flagDouble(arg, next());
         } else if (arg == "--retries") {
-            ropts.maxRetries = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            ropts.maxRetries = flagInteger<unsigned>(arg, next());
         } else if (arg == "--metrics") {
             metrics_path = next();
         } else if (arg == "--trace-out") {
             trace_out_path = next();
         } else if (arg == "--epoch") {
-            epoch = std::strtoull(next(), nullptr, 10);
+            epoch = flagInteger<std::uint64_t>(arg, next());
             fatalIf(epoch == 0, "--epoch must be positive");
         } else if (arg == "--prof-out") {
             prof_out_path = next();
@@ -351,7 +349,7 @@ run(int argc, char** argv)
         } else if (arg == "--progress-jsonl") {
             ropts.progressJsonlPath = next();
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--stream") {
             stream_mode = next();
             if (stream_mode == "mmap") {
@@ -366,35 +364,31 @@ run(int argc, char** argv)
             mix_arg = next();
         } else if (arg == "--partition") {
             for (const auto& w : splitCommas(next()))
-                partition.push_back(static_cast<unsigned>(
-                    std::strtoul(w.c_str(), nullptr, 10)));
+                partition.push_back(flagInteger<unsigned>(arg, w));
         } else if (arg == "--slo-mpki") {
             for (const auto& s : splitCommas(next()))
-                slo_mpki.push_back(std::atof(s.c_str()));
+                slo_mpki.push_back(flagDouble(arg, s));
         } else if (arg == "--qos") {
             qos = true;
         } else if (arg == "--require-slo") {
             require_slo = true;
         } else if (arg == "--qos-epoch") {
             qos_cfg.epochInstructions =
-                std::strtoull(next(), nullptr, 10);
+                flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--qos-breach") {
-            qos_cfg.breachEpochs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            qos_cfg.breachEpochs = flagInteger<unsigned>(arg, next());
         } else if (arg == "--qos-calm") {
-            qos_cfg.calmEpochs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            qos_cfg.calmEpochs = flagInteger<unsigned>(arg, next());
         } else if (arg == "--qos-min-ways") {
-            qos_cfg.minWays = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+            qos_cfg.minWays = flagInteger<std::uint32_t>(arg, next());
         } else if (arg == "--qos-hysteresis") {
-            qos_cfg.hysteresisFrac = std::atof(next());
+            qos_cfg.hysteresisFrac = flagDouble(arg, next());
         } else if (arg == "--measure-cycles") {
-            measure_cycles = std::strtoull(next(), nullptr, 10);
+            measure_cycles = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--decode-ahead") {
             oopts.decodeAhead = true;
         } else if (arg == "--chunk-records") {
-            oopts.chunkRecords = std::strtoull(next(), nullptr, 10);
+            oopts.chunkRecords = flagInteger<std::uint64_t>(arg, next());
             fatalIf(oopts.chunkRecords == 0,
                     "--chunk-records must be positive");
         } else {

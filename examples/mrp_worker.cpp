@@ -46,7 +46,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -66,6 +65,7 @@
 #include "util/fault_injection.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -133,17 +133,15 @@ run(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--heartbeat-ms") {
-            heartbeat_ms = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            heartbeat_ms = flagInteger<unsigned>(arg, next());
             fatalIf(heartbeat_ms == 0, ErrorCode::Config,
                     "--heartbeat-ms must be positive");
         } else if (arg == "--timeout") {
-            timeout_seconds = std::atof(next());
+            timeout_seconds = flagDouble(arg, next());
         } else if (arg == "--ship-obs") {
             ship_obs = true;
         } else if (arg == "--obs-max-bytes") {
-            obs_max_bytes = static_cast<std::size_t>(
-                std::strtoull(next(), nullptr, 10));
+            obs_max_bytes = flagInteger<std::size_t>(arg, next());
             fatalIf(obs_max_bytes == 0, ErrorCode::Config,
                     "--obs-max-bytes must be positive");
         } else if (arg == "--metrics-out") {

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -29,6 +28,7 @@
 #include "sweep/study.hpp"
 #include "trace/spec.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace mrp::cli {
 
@@ -60,7 +60,7 @@ corpusFamilySpec(const std::string& name, InstCount insts,
         p.instructions = insts;
         p.seed = seed;
         if (name.size() > 5) {
-            p.theta = std::atof(name.c_str() + 5);
+            p.theta = flagDouble("--corpus zipf:THETA", name.substr(5));
             p.name = name;
         }
         return trace::TraceSpec::zipf(p);
@@ -163,43 +163,38 @@ parseSweepArg(SweepCliConfig& c, int argc, char** argv, int& i)
     } else if (arg == "--objective") {
         c.objectiveName = next();
     } else if (arg == "--generations") {
-        c.generations =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.generations = flagInteger<unsigned>(arg, next());
     } else if (arg == "--population") {
-        c.population =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.population = flagInteger<unsigned>(arg, next());
     } else if (arg == "--budget-insts") {
-        c.budgetInsts = std::strtoull(next(), nullptr, 10);
+        c.budgetInsts = flagInteger<std::uint64_t>(arg, next());
         fatalIf(c.budgetInsts == 0,
                 "--budget-insts must be positive");
     } else if (arg == "--workloads") {
         c.workloads.clear();
         for (const auto& w : splitCommas(next()))
-            c.workloads.push_back(static_cast<unsigned>(
-                std::strtoul(w.c_str(), nullptr, 10)));
+            c.workloads.push_back(flagInteger<unsigned>(arg, w));
     } else if (arg == "--corpus") {
         c.corpusFamilies = splitCommas(next());
     } else if (arg == "--decode-ahead") {
         c.decodeAhead = true;
     } else if (arg == "--llc-kb") {
-        c.llcKb = std::strtoull(next(), nullptr, 10);
+        c.llcKb = flagInteger<std::uint64_t>(arg, next());
         // Reject impossible geometries at the flag, not mid-study.
         const std::string why = cache::CacheGeometry::describeInvalid(
             c.llcKb * 1024, cache::HierarchyConfig{}.llcWays);
         fatalIf(!why.empty(), ErrorCode::Config,
                 "--llc-kb " + std::to_string(c.llcKb) + ": " + why);
     } else if (arg == "--slots") {
-        c.slots =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.slots = flagInteger<unsigned>(arg, next());
     } else if (arg == "--search-thresholds") {
         c.searchThresholds = true;
     } else if (arg == "--search-sampler") {
         c.searchSampler = true;
     } else if (arg == "--seed") {
-        c.seed = std::strtoull(next(), nullptr, 10);
+        c.seed = flagInteger<std::uint64_t>(arg, next());
     } else if (arg == "--jobs") {
-        c.jobs =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.jobs = flagInteger<unsigned>(arg, next());
     } else if (arg == "--journal") {
         c.journalPath = next();
     } else if (arg == "--resume") {
@@ -207,27 +202,21 @@ parseSweepArg(SweepCliConfig& c, int argc, char** argv, int& i)
     } else if (arg == "--out") {
         c.outPath = next();
     } else if (arg == "--tournament") {
-        c.tournament =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.tournament = flagInteger<unsigned>(arg, next());
     } else if (arg == "--crossover") {
-        c.crossover = std::atof(next());
+        c.crossover = flagDouble(arg, next());
     } else if (arg == "--mutation") {
-        c.mutation = std::atof(next());
+        c.mutation = flagDouble(arg, next());
     } else if (arg == "--elites") {
-        c.elites =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.elites = flagInteger<unsigned>(arg, next());
     } else if (arg == "--initial") {
-        c.initial =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.initial = flagInteger<unsigned>(arg, next());
     } else if (arg == "--eta") {
-        c.eta =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.eta = flagInteger<unsigned>(arg, next());
     } else if (arg == "--rungs") {
-        c.rungs =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.rungs = flagInteger<unsigned>(arg, next());
     } else if (arg == "--mrc-rung") {
-        c.mrcRateLog2 =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+        c.mrcRateLog2 = flagInteger<unsigned>(arg, next());
         fatalIf(c.mrcRateLog2 == 0 || c.mrcRateLog2 >= 24,
                 ErrorCode::Config,
                 "--mrc-rung rate log2 must be in [1, 24)");
@@ -240,9 +229,9 @@ parseSweepArg(SweepCliConfig& c, int argc, char** argv, int& i)
         fatalIf(colon == std::string::npos,
                 "--grid expects GENE:V1,V2,...");
         sweep::GridAxis axis;
-        axis.gene = std::strtoul(spec.c_str(), nullptr, 10);
+        axis.gene = flagInteger<std::size_t>(arg, spec.substr(0, colon));
         for (const auto& v : splitCommas(spec.substr(colon + 1)))
-            axis.values.push_back(std::atoi(v.c_str()));
+            axis.values.push_back(flagInteger<int>(arg, v));
         c.gridAxes.push_back(std::move(axis));
     } else {
         return false;

@@ -6,6 +6,7 @@
 
 #include "util/bitfield.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace mrp::core {
 
@@ -109,8 +110,12 @@ FeatureSpec::parse(const std::string& text)
     std::vector<unsigned> args;
     std::istringstream is(text.substr(open + 1, close - open - 1));
     std::string tok;
-    while (std::getline(is, tok, ','))
-        args.push_back(static_cast<unsigned>(std::stoul(tok)));
+    while (std::getline(is, tok, ',')) {
+        const auto v = parseInteger<unsigned>(tok);
+        if (!v)
+            fatal("bad parameter '" + tok + "' in feature: " + text);
+        args.push_back(*v);
+    }
 
     const std::size_t expected =
         f.kind == FeatureKind::Pc ? 5 : (hasBitRange(f.kind) ? 4 : 2);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -263,8 +264,7 @@ profileCorpus(const std::vector<trace::TraceSpec>& corpus,
 
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
-    ErrorCode errCode = ErrorCode::Internal;
-    std::string errMsg;
+    std::exception_ptr error; //!< first failure, rethrown unchanged
     std::mutex errMutex;
 
     const auto work = [&] {
@@ -275,12 +275,10 @@ profileCorpus(const std::vector<trace::TraceSpec>& corpus,
             try {
                 auto src = corpus[i].open(opts);
                 out[i] = buildProfile(*src, worker_cfg);
-            } catch (const FatalError& e) {
+            } catch (...) {
                 const std::lock_guard<std::mutex> lock(errMutex);
-                if (!failed.exchange(true)) {
-                    errCode = e.code();
-                    errMsg = e.what();
-                }
+                if (!failed.exchange(true))
+                    error = std::current_exception();
             }
         }
     };
@@ -295,8 +293,8 @@ profileCorpus(const std::vector<trace::TraceSpec>& corpus,
         for (auto& t : pool)
             t.join();
     }
-    if (failed.load())
-        throw FatalError(errCode, errMsg);
+    if (error)
+        std::rethrow_exception(error);
     return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include "prof/export.hpp"
 #include "telemetry/export.hpp"
+#include "util/json_fields.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
@@ -28,17 +29,20 @@ singleLine(const std::string& text)
     return out;
 }
 
+constexpr std::tuple kObsFields{
+    json::Field{"label", &WorkerRunObs::label},
+    json::Field{"wallSeconds", &WorkerRunObs::wallSeconds},
+    json::Field{"accesses", &WorkerRunObs::accesses},
+    json::Field{"truncated", &WorkerRunObs::truncated},
+};
+
 } // namespace
 
 std::string
 workerObsJson(const WorkerRunObs& o)
 {
-    std::string out = json::firstKey("label") + json::str(o.label);
-    out += ", " + json::key("wallSeconds") +
-           json::formatDouble(o.wallSeconds);
-    out += ", " + json::key("accesses") + std::to_string(o.accesses);
-    out += ", " + json::key("truncated") +
-           (o.truncated ? "true" : "false");
+    std::string out = "{";
+    out += json::fieldsJson(o, kObsFields);
     if (o.metrics)
         out += ", " + json::key("metrics") +
                singleLine(telemetry::snapshotJson(*o.metrics, ""));
@@ -55,16 +59,7 @@ workerObsFromJson(const json::Value& v, const std::string& what)
     fatalIf(!v.isObject(), ErrorCode::CorruptInput,
             what + ": obs payload must be a JSON object");
     WorkerRunObs o;
-    o.label =
-        v.require("label", json::Value::Type::String, what).string;
-    o.wallSeconds =
-        v.require("wallSeconds", json::Value::Type::Number, what)
-            .number;
-    o.accesses =
-        v.require("accesses", json::Value::Type::Number, what)
-            .asU64();
-    o.truncated =
-        v.require("truncated", json::Value::Type::Bool, what).boolean;
+    json::readFields(v, what, o, kObsFields);
     if (const auto* m = v.get("metrics"))
         o.metrics = telemetry::snapshotFromJson(*m, what);
     if (const auto* p = v.get("phases"))

@@ -15,10 +15,9 @@ checkSchema(const Value& doc, const std::string& what)
 {
     fatalIf(!doc.isObject(), ErrorCode::CorruptInput,
             what + ": not a JSON object");
-    const Value& schema =
-        doc.require("schema", Value::Type::String, what);
-    fatalIf(schema.string != "mrp-bench-v1", ErrorCode::CorruptInput,
-            what + ": unsupported schema \"" + schema.string + "\"");
+    const std::string& schema = doc.str("schema", what);
+    fatalIf(schema != "mrp-bench-v1", ErrorCode::CorruptInput,
+            what + ": unsupported schema \"" + schema + "\"");
     return doc.require("runs", Value::Type::Array, what);
 }
 
@@ -38,16 +37,12 @@ comparePhases(const Value& base, const Value* cand,
               const std::string& path, const std::string& run_label,
               const GuardOptions& opts, GuardResult* out)
 {
-    const std::string label =
-        base.require("label", Value::Type::String, "baseline phase")
-            .string;
+    const std::string& label = base.str("label", "baseline phase");
     const std::string here =
         path.empty() ? label : path + "/" + label;
 
     const double base_incl =
-        base.require("inclusiveSeconds", Value::Type::Number,
-                     "baseline phase")
-            .number;
+        base.real("inclusiveSeconds", "baseline phase");
 
     if (!cand) {
         if (base_incl >= opts.minSeconds)
@@ -57,9 +52,7 @@ comparePhases(const Value& base, const Value* cand,
     }
 
     const double cand_incl =
-        cand->require("inclusiveSeconds", Value::Type::Number,
-                      "candidate phase")
-            .number;
+        cand->real("inclusiveSeconds", "candidate phase");
     if (base_incl >= opts.minSeconds) {
         ++out->metricsCompared;
         if (cand_incl > base_incl * (1.0 + opts.tolerance))
@@ -124,10 +117,7 @@ compare(const Value& baseline, const Value& candidate,
 
     GuardResult out;
     for (const Value& base_run : base_runs.array) {
-        const std::string label =
-            base_run.require("label", Value::Type::String,
-                             "baseline run")
-                .string;
+        const std::string& label = base_run.str("label", "baseline run");
         const Value* cand_run = findRun(cand_runs, label);
         if (!cand_run) {
             out.findings.push_back(

@@ -95,16 +95,10 @@ phaseTreeFromJson(const json::Value& v, const std::string& what)
     fatalIf(!v.isObject(), ErrorCode::CorruptInput,
             what + ": phase must be a JSON object");
     PhaseStat p;
-    p.label =
-        v.require("label", json::Value::Type::String, what).string;
-    p.count =
-        v.require("count", json::Value::Type::Number, what).asU64();
-    p.inclusiveSeconds =
-        v.require("inclusiveSeconds", json::Value::Type::Number, what)
-            .number;
-    p.exclusiveSeconds =
-        v.require("exclusiveSeconds", json::Value::Type::Number, what)
-            .number;
+    p.label = v.str("label", what);
+    p.count = v.integer("count", what);
+    p.inclusiveSeconds = v.real("inclusiveSeconds", what);
+    p.exclusiveSeconds = v.real("exclusiveSeconds", what);
     for (const auto& c :
          v.require("children", json::Value::Type::Array, what).array)
         p.children.push_back(phaseTreeFromJson(c, what));

@@ -1,9 +1,12 @@
 #include "queue/wire.hpp"
 
-#include <cstdlib>
+#include <string_view>
+#include <vector>
 
+#include "util/json_fields.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace mrp::queue {
 
@@ -11,60 +14,80 @@ namespace {
 
 using json::Value;
 
-// --- require helpers over the generic JSON tree ---------------------
+// --- config structs <-> JSON ----------------------------------------
+// Each table lists a struct's members in wire order; the writer and
+// the reader below both walk it (util/json_fields.hpp).
 
-std::uint64_t
-reqU64(const Value& v, std::string_view key, const std::string& what)
-{
-    return v.require(key, Value::Type::Number, what).asU64();
-}
+using json::Field;
 
-int
-reqInt(const Value& v, std::string_view key, const std::string& what)
-{
-    return static_cast<int>(
-        v.require(key, Value::Type::Number, what).number);
-}
-
-unsigned
-reqUnsigned(const Value& v, std::string_view key,
-            const std::string& what)
-{
-    return static_cast<unsigned>(reqU64(v, key, what));
-}
-
-double
-reqDouble(const Value& v, std::string_view key,
-          const std::string& what)
-{
-    return v.require(key, Value::Type::Number, what).number;
-}
-
-bool
-reqBool(const Value& v, std::string_view key, const std::string& what)
-{
-    return v.require(key, Value::Type::Bool, what).boolean;
-}
-
-const std::string&
-reqStr(const Value& v, std::string_view key, const std::string& what)
-{
-    return v.require(key, Value::Type::String, what).string;
-}
-
-const Value&
-reqObj(const Value& v, std::string_view key, const std::string& what)
-{
-    return v.require(key, Value::Type::Object, what);
-}
-
-const Value&
-reqArr(const Value& v, std::string_view key, const std::string& what)
-{
-    return v.require(key, Value::Type::Array, what);
-}
-
-// --- MpppbConfig <-> JSON -------------------------------------------
+constexpr std::tuple kPredictorFields{
+    Field{"sampledSetsPerCore",
+          &core::MultiperspectiveConfig::sampledSetsPerCore},
+    Field{"samplerAssoc", &core::MultiperspectiveConfig::samplerAssoc},
+    Field{"weightBits", &core::MultiperspectiveConfig::weightBits},
+    Field{"confidenceClamp",
+          &core::MultiperspectiveConfig::confidenceClamp},
+    Field{"trainingThreshold",
+          &core::MultiperspectiveConfig::trainingThreshold},
+};
+constexpr std::tuple kThresholdFields{
+    Field{"tauBypass", &core::MpppbThresholds::tauBypass},
+    Field{"tau", &core::MpppbThresholds::tau},
+    Field{"pi", &core::MpppbThresholds::pi},
+    Field{"tauNoPromote", &core::MpppbThresholds::tauNoPromote},
+};
+constexpr std::tuple kMpppbFields{
+    Field{"bypassEnabled", &core::MpppbConfig::bypassEnabled},
+    Field{"dynamicBypass", &core::MpppbConfig::dynamicBypass},
+    Field{"duelingPeriod", &core::MpppbConfig::duelingPeriod},
+    Field{"pselBits", &core::MpppbConfig::pselBits},
+};
+constexpr std::tuple kMdppFields{
+    Field{"mdppInsertPos", &policy::MdppConfig::insertPos},
+    Field{"mdppPromotePos", &policy::MdppConfig::promotePos},
+};
+constexpr std::tuple kSrripFields{
+    Field{"srripBits", &policy::SrripConfig::bits},
+    Field{"srripInsertRrpv", &policy::SrripConfig::insertRrpv},
+    Field{"srripHitRrpv", &policy::SrripConfig::hitRrpv},
+};
+constexpr std::tuple kHierarchyFields{
+    Field{"cores", &cache::HierarchyConfig::cores},
+    Field{"l1Bytes", &cache::HierarchyConfig::l1Bytes},
+    Field{"l1Ways", &cache::HierarchyConfig::l1Ways},
+    Field{"l2Bytes", &cache::HierarchyConfig::l2Bytes},
+    Field{"l2Ways", &cache::HierarchyConfig::l2Ways},
+    Field{"llcBytes", &cache::HierarchyConfig::llcBytes},
+    Field{"llcWays", &cache::HierarchyConfig::llcWays},
+    Field{"l1Latency", &cache::HierarchyConfig::l1Latency},
+    Field{"l2Latency", &cache::HierarchyConfig::l2Latency},
+    Field{"llcLatency", &cache::HierarchyConfig::llcLatency},
+    Field{"memLatency", &cache::HierarchyConfig::memLatency},
+    Field{"prefetchEnabled", &cache::HierarchyConfig::prefetchEnabled},
+};
+constexpr std::tuple kPrefetcherFields{
+    Field{"streams", &prefetch::StreamPrefetcherConfig::streams},
+    Field{"degree", &prefetch::StreamPrefetcherConfig::degree},
+    Field{"distance", &prefetch::StreamPrefetcherConfig::distance},
+    Field{"window", &prefetch::StreamPrefetcherConfig::window},
+};
+constexpr std::tuple kDriverFields{
+    Field{"warmupFraction", &sim::DriverConfig::warmupFraction},
+    Field{"warmupInstructions", &sim::DriverConfig::warmupInstructions},
+    Field{"seed", &sim::DriverConfig::seed},
+};
+constexpr std::tuple kTenantFields{
+    Field{"ways", &tenant::TenantConfig::ways},
+    Field{"sloMpki", &tenant::TenantConfig::sloMpki},
+};
+constexpr std::tuple kQosFields{
+    Field{"enabled", &tenant::QosConfig::enabled},
+    Field{"epochInstructions", &tenant::QosConfig::epochInstructions},
+    Field{"breachEpochs", &tenant::QosConfig::breachEpochs},
+    Field{"calmEpochs", &tenant::QosConfig::calmEpochs},
+    Field{"hysteresisFrac", &tenant::QosConfig::hysteresisFrac},
+    Field{"minWays", &tenant::QosConfig::minWays},
+};
 
 std::string
 mpppbJson(const core::MpppbConfig& c)
@@ -75,48 +98,19 @@ mpppbJson(const core::MpppbConfig& c)
             out += ", ";
         out += json::str(c.predictor.features[i].toString());
     }
-    out += "], " + json::key("sampledSetsPerCore") +
-           std::to_string(c.predictor.sampledSetsPerCore);
-    out += ", " + json::key("samplerAssoc") +
-           std::to_string(c.predictor.samplerAssoc);
-    out += ", " + json::key("weightBits") +
-           std::to_string(c.predictor.weightBits);
-    out += ", " + json::key("confidenceClamp") +
-           std::to_string(c.predictor.confidenceClamp);
-    out += ", " + json::key("trainingThreshold") +
-           std::to_string(c.predictor.trainingThreshold);
+    out += "], ";
+    out += json::fieldsJson(c.predictor, kPredictorFields);
     out += ", " + json::key("substrate") +
            json::str(c.substrate == core::Substrate::Mdpp ? "mdpp"
                                                           : "srrip");
-    out += ", " + json::key("tauBypass") +
-           std::to_string(c.thresholds.tauBypass);
-    out += ", " + json::key("tau") + "[" +
-           std::to_string(c.thresholds.tau[0]) + ", " +
-           std::to_string(c.thresholds.tau[1]) + ", " +
-           std::to_string(c.thresholds.tau[2]) + "]";
-    out += ", " + json::key("pi") + "[" +
-           std::to_string(c.thresholds.pi[0]) + ", " +
-           std::to_string(c.thresholds.pi[1]) + ", " +
-           std::to_string(c.thresholds.pi[2]) + "]";
-    out += ", " + json::key("tauNoPromote") +
-           std::to_string(c.thresholds.tauNoPromote);
-    out += ", " + json::key("bypassEnabled") +
-           (c.bypassEnabled ? "true" : "false");
-    out += ", " + json::key("dynamicBypass") +
-           (c.dynamicBypass ? "true" : "false");
-    out += ", " + json::key("duelingPeriod") +
-           std::to_string(c.duelingPeriod);
-    out += ", " + json::key("pselBits") + std::to_string(c.pselBits);
-    out += ", " + json::key("mdppInsertPos") +
-           std::to_string(c.mdpp.insertPos);
-    out += ", " + json::key("mdppPromotePos") +
-           std::to_string(c.mdpp.promotePos);
-    out += ", " + json::key("srripBits") +
-           std::to_string(c.srrip.bits);
-    out += ", " + json::key("srripInsertRrpv") +
-           std::to_string(c.srrip.insertRrpv);
-    out += ", " + json::key("srripHitRrpv") +
-           std::to_string(c.srrip.hitRrpv) + "}";
+    for (const auto& part : {json::fieldsJson(c.thresholds, kThresholdFields),
+                             json::fieldsJson(c, kMpppbFields),
+                             json::fieldsJson(c.mdpp, kMdppFields),
+                             json::fieldsJson(c.srrip, kSrripFields)}) {
+        out += ", ";
+        out += part;
+    }
+    out += '}';
     return out;
 }
 
@@ -125,21 +119,15 @@ mpppbFromJson(const Value& v, const std::string& what)
 {
     core::MpppbConfig c;
     c.predictor.features.clear();
-    for (const auto& f : reqArr(v, "features", what).array) {
+    for (const auto& f :
+         v.require("features", Value::Type::Array, what).array) {
         fatalIf(!f.isString(), ErrorCode::CorruptInput,
                 what + ": feature entries must be strings");
         c.predictor.features.push_back(
             core::FeatureSpec::parse(f.string));
     }
-    c.predictor.sampledSetsPerCore = static_cast<std::uint32_t>(
-        reqU64(v, "sampledSetsPerCore", what));
-    c.predictor.samplerAssoc =
-        static_cast<std::uint32_t>(reqU64(v, "samplerAssoc", what));
-    c.predictor.weightBits = reqUnsigned(v, "weightBits", what);
-    c.predictor.confidenceClamp = reqInt(v, "confidenceClamp", what);
-    c.predictor.trainingThreshold =
-        reqInt(v, "trainingThreshold", what);
-    const std::string& sub = reqStr(v, "substrate", what);
+    json::readFields(v, what, c.predictor, kPredictorFields);
+    const std::string& sub = v.str("substrate", what);
     if (sub == "mdpp")
         c.substrate = core::Substrate::Mdpp;
     else if (sub == "srrip")
@@ -147,102 +135,22 @@ mpppbFromJson(const Value& v, const std::string& what)
     else
         fatal(ErrorCode::CorruptInput,
               what + ": unknown substrate \"" + sub + "\"");
-    c.thresholds.tauBypass = reqInt(v, "tauBypass", what);
-    const auto& tau = reqArr(v, "tau", what).array;
-    const auto& pi = reqArr(v, "pi", what).array;
-    fatalIf(tau.size() != 3 || pi.size() != 3,
-            ErrorCode::CorruptInput,
-            what + ": tau and pi must each have 3 entries");
-    for (std::size_t i = 0; i < 3; ++i) {
-        c.thresholds.tau[i] = static_cast<int>(tau[i].number);
-        c.thresholds.pi[i] =
-            static_cast<std::uint32_t>(pi[i].number);
-    }
-    c.thresholds.tauNoPromote = reqInt(v, "tauNoPromote", what);
-    c.bypassEnabled = reqBool(v, "bypassEnabled", what);
-    c.dynamicBypass = reqBool(v, "dynamicBypass", what);
-    c.duelingPeriod = reqUnsigned(v, "duelingPeriod", what);
-    c.pselBits = reqUnsigned(v, "pselBits", what);
-    c.mdpp.insertPos =
-        static_cast<std::uint32_t>(reqU64(v, "mdppInsertPos", what));
-    c.mdpp.promotePos =
-        static_cast<std::uint32_t>(reqU64(v, "mdppPromotePos", what));
-    c.srrip.bits = reqUnsigned(v, "srripBits", what);
-    c.srrip.insertRrpv = reqUnsigned(v, "srripInsertRrpv", what);
-    c.srrip.hitRrpv = reqUnsigned(v, "srripHitRrpv", what);
+    json::readFields(v, what, c.thresholds, kThresholdFields);
+    json::readFields(v, what, c, kMpppbFields);
+    json::readFields(v, what, c.mdpp, kMdppFields);
+    json::readFields(v, what, c.srrip, kSrripFields);
     return c;
-}
-
-// --- driver config <-> JSON -----------------------------------------
-
-std::string
-hierarchyJson(const cache::HierarchyConfig& h)
-{
-    std::string out =
-        json::firstKey("cores") + std::to_string(h.cores);
-    out += ", " + json::key("l1Bytes") + std::to_string(h.l1Bytes);
-    out += ", " + json::key("l1Ways") + std::to_string(h.l1Ways);
-    out += ", " + json::key("l2Bytes") + std::to_string(h.l2Bytes);
-    out += ", " + json::key("l2Ways") + std::to_string(h.l2Ways);
-    out += ", " + json::key("llcBytes") + std::to_string(h.llcBytes);
-    out += ", " + json::key("llcWays") + std::to_string(h.llcWays);
-    out +=
-        ", " + json::key("l1Latency") + std::to_string(h.l1Latency);
-    out +=
-        ", " + json::key("l2Latency") + std::to_string(h.l2Latency);
-    out += ", " + json::key("llcLatency") +
-           std::to_string(h.llcLatency);
-    out += ", " + json::key("memLatency") +
-           std::to_string(h.memLatency);
-    out += ", " + json::key("prefetchEnabled") +
-           (h.prefetchEnabled ? "true" : "false");
-    out += ", " + json::key("prefetcher") + "{" +
-           json::key("streams") +
-           std::to_string(h.prefetcher.streams);
-    out += ", " + json::key("degree") +
-           std::to_string(h.prefetcher.degree);
-    out += ", " + json::key("distance") +
-           std::to_string(h.prefetcher.distance);
-    out += ", " + json::key("window") +
-           std::to_string(h.prefetcher.window) + "}}";
-    return out;
-}
-
-cache::HierarchyConfig
-hierarchyFromJson(const Value& v, const std::string& what)
-{
-    cache::HierarchyConfig h;
-    h.cores = reqUnsigned(v, "cores", what);
-    h.l1Bytes = reqU64(v, "l1Bytes", what);
-    h.l1Ways = static_cast<std::uint32_t>(reqU64(v, "l1Ways", what));
-    h.l2Bytes = reqU64(v, "l2Bytes", what);
-    h.l2Ways = static_cast<std::uint32_t>(reqU64(v, "l2Ways", what));
-    h.llcBytes = reqU64(v, "llcBytes", what);
-    h.llcWays =
-        static_cast<std::uint32_t>(reqU64(v, "llcWays", what));
-    h.l1Latency = reqU64(v, "l1Latency", what);
-    h.l2Latency = reqU64(v, "l2Latency", what);
-    h.llcLatency = reqU64(v, "llcLatency", what);
-    h.memLatency = reqU64(v, "memLatency", what);
-    h.prefetchEnabled = reqBool(v, "prefetchEnabled", what);
-    const auto& p = reqObj(v, "prefetcher", what);
-    h.prefetcher.streams = reqUnsigned(p, "streams", what);
-    h.prefetcher.degree = reqUnsigned(p, "degree", what);
-    h.prefetcher.distance = reqUnsigned(p, "distance", what);
-    h.prefetcher.window = reqUnsigned(p, "window", what);
-    return h;
 }
 
 std::string
 driverJson(const sim::DriverConfig& d)
 {
-    std::string out =
-        json::firstKey("hierarchy") + hierarchyJson(d.hierarchy);
-    out += ", " + json::key("warmupFraction") +
-           json::formatDouble(d.warmupFraction);
-    out += ", " + json::key("warmupInstructions") +
-           std::to_string(d.warmupInstructions);
-    out += ", " + json::key("seed") + std::to_string(d.seed);
+    std::string out = json::firstKey("hierarchy") + "{";
+    out += json::fieldsJson(d.hierarchy, kHierarchyFields);
+    out += ", " + json::key("prefetcher") + "{";
+    out += json::fieldsJson(d.hierarchy.prefetcher, kPrefetcherFields);
+    out += "}}, ";
+    out += json::fieldsJson(d, kDriverFields);
     return out;
 }
 
@@ -250,10 +158,11 @@ void
 driverFromJson(const Value& v, const std::string& what,
                sim::DriverConfig& d)
 {
-    d.hierarchy = hierarchyFromJson(reqObj(v, "hierarchy", what), what);
-    d.warmupFraction = reqDouble(v, "warmupFraction", what);
-    d.warmupInstructions = reqU64(v, "warmupInstructions", what);
-    d.seed = reqU64(v, "seed", what);
+    const auto& h = v.require("hierarchy", Value::Type::Object, what);
+    json::readFields(h, what, d.hierarchy, kHierarchyFields);
+    json::readFields(h.require("prefetcher", Value::Type::Object, what),
+                     what, d.hierarchy.prefetcher, kPrefetcherFields);
+    json::readFields(v, what, d, kDriverFields);
 }
 
 std::string
@@ -263,24 +172,12 @@ tenancyJson(const tenant::TenancyConfig& t)
     for (std::size_t i = 0; i < t.tenants.size(); ++i) {
         if (i)
             out += ", ";
-        out += json::firstKey("ways") +
-               std::to_string(t.tenants[i].ways) + ", " +
-               json::key("sloMpki") +
-               json::formatDouble(t.tenants[i].sloMpki) + "}";
+        out += '{';
+        out += json::fieldsJson(t.tenants[i], kTenantFields);
+        out += '}';
     }
     out += "], " + json::key("qos") + "{";
-    out += json::key("enabled") +
-           std::string(t.qos.enabled ? "true" : "false");
-    out += ", " + json::key("epochInstructions") +
-           std::to_string(t.qos.epochInstructions);
-    out += ", " + json::key("breachEpochs") +
-           std::to_string(t.qos.breachEpochs);
-    out += ", " + json::key("calmEpochs") +
-           std::to_string(t.qos.calmEpochs);
-    out += ", " + json::key("hysteresisFrac") +
-           json::formatDouble(t.qos.hysteresisFrac);
-    out += ", " + json::key("minWays") +
-           std::to_string(t.qos.minWays);
+    out += json::fieldsJson(t.qos, kQosFields);
     out += "}}";
     return out;
 }
@@ -289,83 +186,59 @@ tenant::TenancyConfig
 tenancyFromJson(const Value& v, const std::string& what)
 {
     tenant::TenancyConfig t;
-    for (const auto& e : reqArr(v, "tenants", what).array) {
-        tenant::TenantConfig tc;
-        tc.ways = reqUnsigned(e, "ways", what);
-        tc.sloMpki = reqDouble(e, "sloMpki", what);
-        t.tenants.push_back(tc);
-    }
-    const auto& q = reqObj(v, "qos", what);
-    t.qos.enabled = reqBool(q, "enabled", what);
-    t.qos.epochInstructions = reqU64(q, "epochInstructions", what);
-    t.qos.breachEpochs = reqUnsigned(q, "breachEpochs", what);
-    t.qos.calmEpochs = reqUnsigned(q, "calmEpochs", what);
-    t.qos.hysteresisFrac = reqDouble(q, "hysteresisFrac", what);
-    t.qos.minWays = reqUnsigned(q, "minWays", what);
+    for (const auto& e :
+         v.require("tenants", Value::Type::Array, what).array)
+        json::readFields(e, what, t.tenants.emplace_back(),
+                         kTenantFields);
+    json::readFields(v.require("qos", Value::Type::Object, what), what,
+                     t.qos, kQosFields);
     return t;
 }
 
 // --- line-protocol helpers ------------------------------------------
 
-/** Full-string unsigned parse; nullopt on anything else. */
-std::optional<std::uint64_t>
-parseU64Token(const std::string& s)
+/**
+ * The space-separated fields of @p line after its @p verb prefix:
+ * exactly @p n of them, the last keeping any further spaces (a framed
+ * payload). Empty unless the line has that shape.
+ */
+std::vector<std::string_view>
+lineFields(std::string_view line, std::string_view verb, std::size_t n)
 {
-    if (s.empty())
-        return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return std::nullopt;
-    return static_cast<std::uint64_t>(v);
+    if (!line.starts_with(verb))
+        return {};
+    line.remove_prefix(verb.size());
+    std::vector<std::string_view> out;
+    while (out.size() + 1 < n) {
+        const std::size_t sp = line.find(' ');
+        if (sp == std::string_view::npos)
+            return {};
+        out.push_back(line.substr(0, sp));
+        line.remove_prefix(sp + 1);
+    }
+    out.push_back(line);
+    return out;
 }
 
 /**
- * Strip "<verb> <id> " plus @p hex_ids space-separated hex16 tokens
- * (two for JOB: trace then span; one for RESULT/OBS: span) and
- * checksum-verify the rest.
+ * "<verb> <id> " plus @p hex_ids hex16 tokens (two for JOB: trace then
+ * span; one for RESULT/OBS: span), then the checksum-framed payload.
  */
 std::optional<FramedMsg>
 parseFramed(const std::string& line, const std::string& verb,
             unsigned hex_ids)
 {
-    const std::string prefix = verb + " ";
-    if (line.rfind(prefix, 0) != 0)
+    const auto f = lineFields(line, verb + " ", 2 + hex_ids);
+    if (f.empty())
         return std::nullopt;
-    const std::size_t id_end = line.find(' ', prefix.size());
-    if (id_end == std::string::npos)
+    const auto id = parseU64(f[0]);
+    const auto trace = hex_ids == 2 ? obs::parseHex16(f[1])
+                                    : std::optional<std::uint64_t>(0);
+    const auto span = obs::parseHex16(f[hex_ids]);
+    auto body = journal::unframeLine(std::string(f.back()));
+    if (!id || !trace || !span || !body)
         return std::nullopt;
-    const auto id =
-        parseU64Token(line.substr(prefix.size(),
-                                  id_end - prefix.size()));
-    if (!id)
-        return std::nullopt;
-    FramedMsg msg;
-    msg.jobId = *id;
-    std::size_t pos = id_end + 1;
-    std::uint64_t ids[2] = {0, 0};
-    for (unsigned i = 0; i < hex_ids; ++i) {
-        const std::size_t end = line.find(' ', pos);
-        if (end == std::string::npos)
-            return std::nullopt;
-        const auto v = obs::parseHex16(
-            std::string_view(line).substr(pos, end - pos));
-        if (!v)
-            return std::nullopt;
-        ids[i] = *v;
-        pos = end + 1;
-    }
-    if (hex_ids == 2) {
-        msg.traceId = ids[0];
-        msg.spanId = ids[1];
-    } else {
-        msg.spanId = ids[0];
-    }
-    auto body = journal::unframeLine(line.substr(pos));
-    if (!body)
-        return std::nullopt;
-    msg.json = std::move(*body);
-    return msg;
+    return FramedMsg{*id, *trace, *span, std::move(*body)};
 }
 
 std::string
@@ -444,14 +317,14 @@ requestFromJson(const json::Value& v, const std::string& what)
     fatalIf(!v.isObject(), ErrorCode::CorruptInput,
             what + ": request must be a JSON object");
     runner::RunRequest r;
-    const std::string& mode = reqStr(v, "mode", what);
+    const std::string& mode = v.str("mode", what);
     fatalIf(mode != "single" && mode != "multi",
             ErrorCode::CorruptInput,
             what + ": unknown mode \"" + mode + "\"");
-    r.label = reqStr(v, "label", what);
+    r.label = v.str("label", what);
 
-    const auto& pol = reqObj(v, "policy", what);
-    const std::string& name = reqStr(pol, "name", what);
+    const auto& pol = v.require("policy", Value::Type::Object, what);
+    const std::string& name = pol.str("name", what);
     if (const auto* m = pol.get("mpppb"))
         r.policy = runner::PolicySpec::mpppb(
             mpppbFromJson(*m, what + " policy"));
@@ -459,7 +332,7 @@ requestFromJson(const json::Value& v, const std::string& what)
         r.policy = runner::PolicySpec::byName(name);
     r.policy.name = name;
 
-    const auto& srcs = reqArr(v, "sources", what).array;
+    const auto& srcs = v.require("sources", Value::Type::Array, what).array;
     if (mode == "multi")
         fatalIf(srcs.size() < 2, ErrorCode::CorruptInput,
                 what + ": multi request needs >= 2 sources, got " +
@@ -471,11 +344,11 @@ requestFromJson(const json::Value& v, const std::string& what)
     for (const auto& s : srcs)
         r.sources.push_back(trace::TraceSpec::fromJson(s, what));
 
-    const auto& cfg = reqObj(v, "config", what);
+    const auto& cfg = v.require("config", Value::Type::Object, what);
     if (mode == "multi") {
         sim::MultiCoreConfig c;
         driverFromJson(cfg, what, c);
-        c.measureCycles = reqU64(cfg, "measureCycles", what);
+        c.measureCycles = cfg.integer("measureCycles", what);
         if (const auto* t = cfg.get("tenancy"))
             c.tenancy = tenancyFromJson(*t, what + " tenancy");
         r.config = std::move(c);
@@ -536,34 +409,25 @@ obsLine(std::uint64_t job_id, std::uint64_t span_id,
 std::optional<HelloMsg>
 parseHello(const std::string& line)
 {
-    if (line.rfind("HELLO ", 0) != 0)
+    const auto f = lineFields(line, "HELLO ", 2);
+    if (f.empty())
         return std::nullopt;
-    const std::size_t sep = line.find(' ', 6);
-    if (sep == std::string::npos)
-        return std::nullopt;
-    const auto pid = parseU64Token(line.substr(6, sep - 6));
-    const auto schema = parseU64Token(line.substr(sep + 1));
+    const auto pid = parseU64(f[0]);
+    const auto schema = parseInteger<unsigned>(f[1]);
     if (!pid || !schema)
         return std::nullopt;
-    return HelloMsg{*pid, static_cast<unsigned>(*schema)};
+    return HelloMsg{*pid, *schema};
 }
 
 std::optional<HeartbeatMsg>
 parseHeartbeat(const std::string& line)
 {
-    if (line.rfind("HB ", 0) != 0)
+    const auto f = lineFields(line, "HB ", 3);
+    if (f.empty())
         return std::nullopt;
-    const std::size_t span_sep = line.find(' ', 3);
-    if (span_sep == std::string::npos)
-        return std::nullopt;
-    const std::size_t seq_sep = line.find(' ', span_sep + 1);
-    if (seq_sep == std::string::npos)
-        return std::nullopt;
-    const auto id = parseU64Token(line.substr(3, span_sep - 3));
-    const auto span = obs::parseHex16(
-        std::string_view(line).substr(span_sep + 1,
-                                      seq_sep - span_sep - 1));
-    const auto seq = parseU64Token(line.substr(seq_sep + 1));
+    const auto id = parseU64(f[0]);
+    const auto span = obs::parseHex16(f[1]);
+    const auto seq = parseU64(f[2]);
     if (!id || !span || !seq)
         return std::nullopt;
     return HeartbeatMsg{*id, *span, *seq};

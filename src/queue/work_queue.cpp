@@ -42,9 +42,7 @@ WorkQueue::WorkQueue(const std::string& path,
                         "journal (a pre-queue checkpoint journal?); "
                         "refusing to reuse it — delete or move the "
                         "file to proceed");
-            const unsigned schema = static_cast<unsigned>(
-                v.require("schema", json::Value::Type::Number, what)
-                    .asU64());
+            const auto schema = v.integer<unsigned>("schema", what);
             fatalIf(
                 schema != journal::kQueueSchemaVersion,
                 ErrorCode::Config,
@@ -53,10 +51,7 @@ WorkQueue::WorkQueue(const std::string& path,
                     " but this broker speaks v" +
                     std::to_string(journal::kQueueSchemaVersion) +
                     "; refusing to misread it");
-            const std::string& fp =
-                v.require("fingerprint", json::Value::Type::String,
-                          what)
-                    .string;
+            const std::string& fp = v.str("fingerprint", what);
             // A different batch's scratch queue: restart fresh (the
             // study journal, which must never be clobbered, refuses
             // on mismatch instead — see Study::run).
@@ -83,24 +78,19 @@ WorkQueue::replay(const std::vector<std::string>& lines)
     const std::string what = "queue journal " + file_->path();
     for (std::size_t i = 1; i < lines.size(); ++i) {
         const auto v = json::parseJson(lines[i], what);
-        const std::string& type =
-            v.require("type", json::Value::Type::String, what)
-                .string;
+        const std::string& type = v.str("type", what);
         if (type == "header")
             fatal(ErrorCode::CorruptInput,
                   what + ": duplicate header record at line " +
                       std::to_string(i + 1));
-        const std::uint64_t id =
-            v.require("id", json::Value::Type::Number, what).asU64();
+        const std::uint64_t id = v.integer("id", what);
         if (type == "enqueue") {
             fatalIf(jobs_.count(id) != 0, ErrorCode::CorruptInput,
                     what + ": job " + std::to_string(id) +
                         " enqueued twice");
             QueueJob j;
             j.id = id;
-            j.requestJson =
-                v.require("request", json::Value::Type::String, what)
-                    .string;
+            j.requestJson = v.str("request", what);
             jobs_.emplace(id, std::move(j));
             continue;
         }
@@ -111,16 +101,12 @@ WorkQueue::replay(const std::vector<std::string>& lines)
         QueueJob& j = it->second;
         if (type == "lease") {
             j.state = JobState::Leased;
-            j.attempts = static_cast<unsigned>(
-                v.require("attempt", json::Value::Type::Number, what)
-                    .asU64());
+            j.attempts = v.integer<unsigned>("attempt", what);
         } else if (type == "requeue") {
             j.state = JobState::Pending;
         } else if (type == "complete") {
             j.state = JobState::Done;
-            j.resultJson =
-                v.require("result", json::Value::Type::String, what)
-                    .string;
+            j.resultJson = v.str("result", what);
         } else {
             fatal(ErrorCode::CorruptInput,
                   what + ": unknown record type \"" + type + "\"");

@@ -1,10 +1,7 @@
 #include "runner/checkpoint.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-
-#include "runner/report.hpp"
+#include "util/json_fields.hpp"
+#include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
@@ -12,383 +9,143 @@ namespace mrp::runner {
 
 namespace {
 
-/**
- * Minimal parser for the flat JSON objects this module itself emits:
- * string / integer / double values plus one array of doubles. Any
- * deviation makes the whole line invalid — the CRC prefix already
- * guarantees integrity, so this layer only guards schema drift.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string& text)
-        : p_(text.data()), end_(text.data() + text.size())
-    {
-    }
+using json::Field;
+using json::Value;
 
-    bool
-    parse(RunResult& out)
-    {
-        skipWs();
-        if (!consume('{'))
-            return false;
-        skipWs();
-        if (consume('}'))
-            return atEnd();
-        for (;;) {
-            std::string key;
-            if (!parseString(&key) || !skipWsAnd(':'))
-                return false;
-            skipWs();
-            if (!dispatch(key, out))
-                return false;
-            skipWs();
-            if (consume('}'))
-                return atEnd();
-            if (!consume(','))
-                return false;
-            skipWs();
-        }
-    }
+const std::string kWhat = "run result";
 
-  private:
-    bool
-    atEnd()
-    {
-        skipWs();
-        return p_ == end_;
-    }
-
-    void
-    skipWs()
-    {
-        while (p_ != end_ &&
-               (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' ||
-                *p_ == '\n'))
-            ++p_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (p_ != end_ && *p_ == c) {
-            ++p_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    skipWsAnd(char c)
-    {
-        skipWs();
-        return consume(c);
-    }
-
-    bool
-    parseString(std::string* out)
-    {
-        if (!consume('"'))
-            return false;
-        out->clear();
-        while (p_ != end_ && *p_ != '"') {
-            char c = *p_++;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (p_ == end_)
-                return false;
-            const char esc = *p_++;
-            switch (esc) {
-            case '"': *out += '"'; break;
-            case '\\': *out += '\\'; break;
-            case '/': *out += '/'; break;
-            case 'n': *out += '\n'; break;
-            case 'r': *out += '\r'; break;
-            case 't': *out += '\t'; break;
-            case 'b': *out += '\b'; break;
-            case 'f': *out += '\f'; break;
-            case 'u': {
-                if (end_ - p_ < 4)
-                    return false;
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = *p_++;
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                // The writer only emits \u00XX control escapes.
-                if (code > 0x7F)
-                    return false;
-                *out += static_cast<char>(code);
-                break;
-            }
-            default: return false;
-            }
-        }
-        return consume('"');
-    }
-
-    bool
-    parseNumberToken(std::string* out)
-    {
-        out->clear();
-        while (p_ != end_ &&
-               (std::strchr("+-.eE", *p_) != nullptr ||
-                (*p_ >= '0' && *p_ <= '9')))
-            *out += *p_++;
-        return !out->empty();
-    }
-
-    bool
-    parseU64(std::uint64_t* out)
-    {
-        std::string tok;
-        if (!parseNumberToken(&tok))
-            return false;
-        errno = 0;
-        char* rest = nullptr;
-        *out = std::strtoull(tok.c_str(), &rest, 10);
-        return errno == 0 && rest != nullptr && *rest == '\0';
-    }
-
-    bool
-    parseDouble(double* out)
-    {
-        std::string tok;
-        if (!parseNumberToken(&tok))
-            return false;
-        char* rest = nullptr;
-        *out = std::strtod(tok.c_str(), &rest);
-        return rest != nullptr && *rest == '\0';
-    }
-
-    bool
-    parseDoubleArray(std::vector<double>* out)
-    {
-        if (!consume('['))
-            return false;
-        out->clear();
-        skipWs();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            double v = 0.0;
-            skipWs();
-            if (!parseDouble(&v))
-                return false;
-            out->push_back(v);
-            skipWs();
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    bool
-    dispatch(const std::string& key, RunResult& out)
-    {
-        if (key == "index") {
-            std::uint64_t v = 0;
-            if (!parseU64(&v))
-                return false;
-            out.index = static_cast<std::size_t>(v);
-            return true;
-        }
-        if (key == "benchmark")
-            return parseString(&out.benchmark);
-        if (key == "policy")
-            return parseString(&out.policy);
-        if (key == "label")
-            return parseString(&out.label);
-        if (key == "error")
-            return parseString(&out.error);
-        if (key == "errorCode") {
-            std::string name;
-            if (!parseString(&name))
-                return false;
-            out.errorCode = errorCodeFromName(name);
-            return true;
-        }
-        if (key == "mode") {
-            std::string mode;
-            if (!parseString(&mode))
-                return false;
-            if (mode != "single" && mode != "multi")
-                return false;
-            out.multiCore = mode == "multi";
-            return true;
-        }
-        if (key == "ipc")
-            return parseDouble(&out.ipc);
-        if (key == "mpki")
-            return parseDouble(&out.mpki);
-        if (key == "instructions")
-            return parseU64(&out.instructions);
-        if (key == "llcDemandAccesses")
-            return parseU64(&out.llcDemandAccesses);
-        if (key == "llcDemandMisses")
-            return parseU64(&out.llcDemandMisses);
-        if (key == "llcBypasses")
-            return parseU64(&out.llcBypasses);
-        if (key == "seed")
-            return parseU64(&out.seed);
-        if (key == "coreIpc")
-            return parseDoubleArray(&out.coreIpc);
-        // Tenancy outcome, serialized as parallel flat arrays (the
-        // only aggregate shape this parser supports).
-        if (key == "tenantWaysInitial" || key == "tenantWaysFinal" ||
-            key == "tenantDemandMisses" ||
-            key == "tenantInstructions" || key == "tenantMpki" ||
-            key == "tenantSloMpki") {
-            std::vector<double> arr;
-            if (!parseDoubleArray(&arr))
-                return false;
-            if (out.tenants.size() < arr.size())
-                out.tenants.resize(arr.size());
-            for (std::size_t t = 0; t < arr.size(); ++t) {
-                auto& o = out.tenants[t];
-                if (key == "tenantWaysInitial")
-                    o.waysInitial = static_cast<std::uint32_t>(arr[t]);
-                else if (key == "tenantWaysFinal")
-                    o.waysFinal = static_cast<std::uint32_t>(arr[t]);
-                else if (key == "tenantDemandMisses")
-                    o.demandMisses = static_cast<std::uint64_t>(arr[t]);
-                else if (key == "tenantInstructions")
-                    o.instructions = static_cast<InstCount>(arr[t]);
-                else if (key == "tenantMpki")
-                    o.mpki = arr[t];
-                else
-                    o.sloMpki = arr[t];
-            }
-            return true;
-        }
-        if (key == "qosEpochs" || key == "qosFrom" || key == "qosTo") {
-            std::vector<double> arr;
-            if (!parseDoubleArray(&arr))
-                return false;
-            if (out.qosSchedule.size() < arr.size())
-                out.qosSchedule.resize(arr.size());
-            for (std::size_t i = 0; i < arr.size(); ++i) {
-                auto& q = out.qosSchedule[i];
-                if (key == "qosEpochs")
-                    q.epoch = static_cast<std::uint64_t>(arr[i]);
-                else if (key == "qosFrom")
-                    q.from = static_cast<unsigned>(arr[i]);
-                else
-                    q.to = static_cast<unsigned>(arr[i]);
-            }
-            return true;
-        }
-        // Unknown key: tolerate forward-compatible additions if the
-        // value is one of the shapes we know how to skip.
-        std::string str;
-        double num = 0.0;
-        std::vector<double> arr;
-        if (p_ != end_ && *p_ == '"')
-            return parseString(&str);
-        if (p_ != end_ && *p_ == '[')
-            return parseDoubleArray(&arr);
-        return parseDouble(&num);
-    }
-
-    const char* p_;
-    const char* end_;
+// Members every line carries, in line order ("mode" sits between the
+// two groups).
+constexpr std::tuple kHeadFields{
+    Field{"index", &RunResult::index},
+    Field{"benchmark", &RunResult::benchmark},
+    Field{"policy", &RunResult::policy},
+    Field{"label", &RunResult::label},
 };
+constexpr std::tuple kCountFields{
+    Field{"ipc", &RunResult::ipc},
+    Field{"mpki", &RunResult::mpki},
+    Field{"instructions", &RunResult::instructions},
+    Field{"llcDemandAccesses", &RunResult::llcDemandAccesses},
+    Field{"llcDemandMisses", &RunResult::llcDemandMisses},
+    Field{"llcBypasses", &RunResult::llcBypasses},
+};
+
+// Tenancy outcome and QoS schedule, each flattened to parallel
+// numeric arrays: column "key" holds one field of every row.
+constexpr std::tuple kTenantColumns{
+    Field{"tenantWaysInitial", &sim::TenantOutcome::waysInitial},
+    Field{"tenantWaysFinal", &sim::TenantOutcome::waysFinal},
+    Field{"tenantDemandMisses", &sim::TenantOutcome::demandMisses},
+    Field{"tenantInstructions", &sim::TenantOutcome::instructions},
+    Field{"tenantMpki", &sim::TenantOutcome::mpki},
+    Field{"tenantSloMpki", &sim::TenantOutcome::sloMpki},
+};
+constexpr std::tuple kQosColumns{
+    Field{"qosEpochs", &tenant::QosResize::epoch},
+    Field{"qosFrom", &tenant::QosResize::from},
+    Field{"qosTo", &tenant::QosResize::to},
+};
+
+template <typename Row, typename Columns>
+void
+appendColumns(std::string& out, const std::vector<Row>& rows,
+              const Columns& columns)
+{
+    const auto append = [&](const auto& c) {
+        out += ", " + json::key(c.key) + "[";
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (i)
+                out += ", ";
+            out += json::valueJson(rows[i].*c.member);
+        }
+        out += "]";
+    };
+    std::apply([&](const auto&... c) { (append(c), ...); }, columns);
+}
+
+/** The first column sizes @p rows; every column must match it. */
+template <typename Row, typename Columns>
+void
+readColumns(const Value& v, std::vector<Row>& rows,
+            const Columns& columns)
+{
+    const auto column = [&](const char* key) -> const auto& {
+        return v.require(key, Value::Type::Array, kWhat).array;
+    };
+    rows.resize(column(std::get<0>(columns).key).size());
+    const auto read = [&](const auto& c) {
+        const auto& arr = column(c.key);
+        if (arr.size() != rows.size())
+            fatal(ErrorCode::CorruptInput,
+                  kWhat + ": \"" + c.key + "\" length mismatch");
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            auto& f = rows[i].*c.member;
+            f = json::numberAs<std::decay_t<decltype(f)>>(arr[i], kWhat);
+        }
+    };
+    std::apply([&](const auto&... c) { (read(c), ...); }, columns);
+}
+
+/** resultFromJson's body; throws FatalError on a schema mismatch. */
+RunResult
+decodeResult(const Value& v)
+{
+    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
+            kWhat + " must be a JSON object");
+    RunResult r;
+    json::readFields(v, kWhat, r, kHeadFields);
+    const std::string& mode = v.str("mode", kWhat);
+    fatalIf(mode != "single" && mode != "multi", ErrorCode::CorruptInput,
+            kWhat + ": unknown mode \"" + mode + "\"");
+    r.multiCore = mode == "multi";
+    json::readFields(v, kWhat, r, kCountFields);
+    // The remaining members are written only when they carry data.
+    if (v.get("seed"))
+        r.seed = v.integer("seed", kWhat);
+    if (v.get("coreIpc"))
+        json::readValue(v, "coreIpc", kWhat, r.coreIpc);
+    if (v.get("tenantWaysInitial"))
+        readColumns(v, r.tenants, kTenantColumns);
+    if (v.get("qosEpochs"))
+        readColumns(v, r.qosSchedule, kQosColumns);
+    if (v.get("error"))
+        r.error = v.str("error", kWhat);
+    if (v.get("errorCode"))
+        r.errorCode = errorCodeFromName(v.str("errorCode", kWhat));
+    return r;
+}
 
 } // namespace
 
 std::string
-resultJson(const RunResult& r)
+resultCoreJson(const RunResult& r)
 {
-    std::string out = "{\"index\": " + std::to_string(r.index);
-    out += ", \"benchmark\": \"" + json::escape(r.benchmark) +
-           "\"";
-    out += ", \"policy\": \"" + json::escape(r.policy) + "\"";
-    out += ", \"label\": \"" + json::escape(r.label) + "\"";
+    std::string out = json::fieldsJson(r, kHeadFields);
     out += std::string(", \"mode\": ") +
            (r.multiCore ? "\"multi\"" : "\"single\"");
-    out += ", \"ipc\": " + json::formatDouble(r.ipc);
-    out += ", \"mpki\": " + json::formatDouble(r.mpki);
-    out += ", \"instructions\": " + std::to_string(r.instructions);
-    out += ", \"llcDemandAccesses\": " +
-           std::to_string(r.llcDemandAccesses);
-    out += ", \"llcDemandMisses\": " +
-           std::to_string(r.llcDemandMisses);
-    out += ", \"llcBypasses\": " + std::to_string(r.llcBypasses);
+    out += ", ";
+    out += json::fieldsJson(r, kCountFields);
+    // Seed provenance only when a non-default seed was set, so
+    // pre-seed artifacts stay byte-identical.
     if (r.seed != 0)
         out += ", \"seed\": " + std::to_string(r.seed);
-    if (r.multiCore) {
-        out += ", \"coreIpc\": [";
-        for (std::size_t c = 0; c < r.coreIpc.size(); ++c) {
-            if (c)
-                out += ", ";
-            out += json::formatDouble(r.coreIpc[c]);
-        }
-        out += "]";
-    }
+    if (r.multiCore)
+        out += ", \"coreIpc\": " + json::valueJson(r.coreIpc);
+    return out;
+}
+
+std::string
+resultJson(const RunResult& r)
+{
+    std::string out = "{";
+    out += resultCoreJson(r);
     // Tenancy fields, omitted entirely for non-tenant runs (byte-compat
-    // with pre-tenant journals) and flattened to parallel numeric
-    // arrays — the only aggregate shape the journal parser accepts.
+    // with pre-tenant journals).
     if (!r.tenants.empty()) {
-        const auto numArray = [&out, &r](const std::string& key,
-                                         auto&& get) {
-            out += ", \"" + key + "\": [";
-            for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-                if (t)
-                    out += ", ";
-                out += get(r.tenants[t]);
-            }
-            out += "]";
-        };
-        numArray("tenantWaysInitial", [](const auto& o) {
-            return std::to_string(o.waysInitial);
-        });
-        numArray("tenantWaysFinal", [](const auto& o) {
-            return std::to_string(o.waysFinal);
-        });
-        numArray("tenantDemandMisses", [](const auto& o) {
-            return std::to_string(o.demandMisses);
-        });
-        numArray("tenantInstructions", [](const auto& o) {
-            return std::to_string(o.instructions);
-        });
-        numArray("tenantMpki", [](const auto& o) {
-            return json::formatDouble(o.mpki);
-        });
-        numArray("tenantSloMpki", [](const auto& o) {
-            return json::formatDouble(o.sloMpki);
-        });
-        if (!r.qosSchedule.empty()) {
-            const auto qosArray = [&out, &r](const std::string& key,
-                                             auto&& get) {
-                out += ", \"" + key + "\": [";
-                for (std::size_t i = 0; i < r.qosSchedule.size(); ++i) {
-                    if (i)
-                        out += ", ";
-                    out += get(r.qosSchedule[i]);
-                }
-                out += "]";
-            };
-            qosArray("qosEpochs", [](const auto& q) {
-                return std::to_string(q.epoch);
-            });
-            qosArray("qosFrom", [](const auto& q) {
-                return std::to_string(q.from);
-            });
-            qosArray("qosTo", [](const auto& q) {
-                return std::to_string(q.to);
-            });
-        }
+        appendColumns(out, r.tenants, kTenantColumns);
+        if (!r.qosSchedule.empty())
+            appendColumns(out, r.qosSchedule, kQosColumns);
     }
     if (!r.ok()) {
         out += ", \"error\": \"" + json::escape(r.error) + "\"";
@@ -400,12 +157,16 @@ resultJson(const RunResult& r)
 }
 
 std::optional<RunResult>
-resultFromJson(const std::string& json)
+resultFromJson(const std::string& text)
 {
-    RunResult r;
-    if (!JsonParser(json).parse(r))
+    Value v;
+    if (!json::tryParseJson(text, &v))
         return std::nullopt;
-    return r;
+    try {
+        return decodeResult(v);
+    } catch (const FatalError&) {
+        return std::nullopt;
+    }
 }
 
 std::string
@@ -426,33 +187,17 @@ parseJournalLine(const std::string& line)
 std::vector<RunResult>
 loadJournal(const std::string& path)
 {
-    const std::string content = journal::readWholeFile(path);
-    // Scan with the RunResult-aware line parser rather than the
-    // generic frame scanner, so a line whose checksum is intact but
-    // whose schema has drifted is still classified (torn tail if
-    // final, CorruptInput otherwise) exactly as before.
+    // A line whose checksum holds but whose schema has drifted is
+    // invalid too: dropped as a torn tail if final, CorruptInput
+    // otherwise.
     std::vector<RunResult> entries;
-    std::size_t pos = 0;
-    std::size_t line_no = 0;
-    while (pos < content.size()) {
-        ++line_no;
-        const std::size_t nl = content.find('\n', pos);
-        const bool complete = nl != std::string::npos;
-        const std::size_t len =
-            (complete ? nl : content.size()) - pos;
-        auto parsed = parseJournalLine(content.substr(pos, len));
-        const std::size_t next = complete ? nl + 1 : content.size();
-        if (!parsed) {
-            fatalIf(next < content.size(), ErrorCode::CorruptInput,
-                    "corrupt checkpoint journal " + path + ": line " +
-                        std::to_string(line_no) +
-                        " fails checksum/parse but is not the final "
-                        "line");
-            return entries; // torn tail: drop it
-        }
-        entries.push_back(std::move(*parsed));
-        pos = next;
-    }
+    journal::scanContent(journal::readWholeFile(path), path,
+                         [&entries](const std::string& json) {
+                             auto r = resultFromJson(json);
+                             if (r)
+                                 entries.push_back(std::move(*r));
+                             return r.has_value();
+                         });
     return entries;
 }
 

@@ -81,7 +81,19 @@ std::optional<RunResult> parseJournalLine(const std::string& line);
  * the same bytes. */
 std::string resultJson(const RunResult& result);
 
-/** Parse a resultJson body; std::nullopt on schema mismatch. */
+/** The members every result record opens with (index through
+ * llcBypasses, then seed and coreIpc when they carry data), without
+ * braces: the shared head of journal lines and report records. */
+std::string resultCoreJson(const RunResult& result);
+
+/**
+ * Parse a resultJson body with the shared JSON reader. Members that
+ * resultJson always writes are required and unknown members are
+ * ignored. Integers are exact over their field's range (seeds and
+ * counters above 2^53 survive). std::nullopt when the text is not one
+ * JSON object or a member is missing, mistyped, fractional or out of
+ * range.
+ */
 std::optional<RunResult> resultFromJson(const std::string& json);
 
 } // namespace mrp::runner

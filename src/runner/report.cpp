@@ -4,7 +4,9 @@
 #include <fstream>
 
 #include "prof/export.hpp"
+#include "runner/checkpoint.hpp"
 #include "telemetry/export.hpp"
+#include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::runner {
@@ -32,33 +34,8 @@ void
 appendRunJson(std::string& out, const RunResult& r,
               const ReportOptions& opts)
 {
-    out += "    {\"index\": " + std::to_string(r.index);
-    out += ", \"benchmark\": \"" + detail::jsonEscape(r.benchmark) + "\"";
-    out += ", \"policy\": \"" + detail::jsonEscape(r.policy) + "\"";
-    out += ", \"label\": \"" + detail::jsonEscape(r.label) + "\"";
-    out += std::string(", \"mode\": ") +
-           (r.multiCore ? "\"multi\"" : "\"single\"");
-    out += ", \"ipc\": " + formatDouble(r.ipc);
-    out += ", \"mpki\": " + formatDouble(r.mpki);
-    out += ", \"instructions\": " + std::to_string(r.instructions);
-    out += ", \"llcDemandAccesses\": " +
-           std::to_string(r.llcDemandAccesses);
-    out += ", \"llcDemandMisses\": " +
-           std::to_string(r.llcDemandMisses);
-    out += ", \"llcBypasses\": " + std::to_string(r.llcBypasses);
-    // Seed provenance: emitted only when a non-default seed was set,
-    // so pre-seed reports stay byte-identical.
-    if (r.seed != 0)
-        out += ", \"seed\": " + std::to_string(r.seed);
-    if (r.multiCore) {
-        out += ", \"coreIpc\": [";
-        for (std::size_t c = 0; c < r.coreIpc.size(); ++c) {
-            if (c)
-                out += ", ";
-            out += formatDouble(r.coreIpc[c]);
-        }
-        out += "]";
-    }
+    out += "    {";
+    out += resultCoreJson(r);
     // Tenancy outcome: emitted only for tenant-configured runs, so
     // non-tenant reports stay byte-identical to earlier artifacts.
     if (!r.tenants.empty()) {
@@ -98,7 +75,7 @@ appendRunJson(std::string& out, const RunResult& r,
         out += ", \"metrics\": " +
                telemetry::metricsJson(*r.telemetry, "    ");
     if (!r.ok()) {
-        out += ", \"error\": \"" + detail::jsonEscape(r.error) + "\"";
+        out += ", \"error\": \"" + json::escape(r.error) + "\"";
         out += std::string(", \"errorCode\": \"") +
                errorCodeName(r.errorCode) + "\"";
     }
@@ -145,7 +122,7 @@ toJson(const RunSet& set, const ReportOptions& opts)
     const auto summaries = set.policySummaries();
     for (std::size_t i = 0; i < summaries.size(); ++i) {
         const auto& s = summaries[i];
-        out += "    {\"policy\": \"" + detail::jsonEscape(s.policy) + "\"";
+        out += "    {\"policy\": \"" + json::escape(s.policy) + "\"";
         out += ", \"runs\": " + std::to_string(s.runs);
         out += ", \"geomeanIpc\": " + formatDouble(s.geomeanIpc);
         out += ", \"meanMpki\": " + formatDouble(s.meanMpki) + "}";

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cache/access.hpp"
+#include "util/json_fields.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
@@ -279,13 +280,7 @@ SearchSpace::genomeKey(const Genome& g) const
 std::string
 SearchSpace::genomeJson(const Genome& g) const
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < g.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(g[i]);
-    }
-    return out + "]";
+    return json::valueJson(g);
 }
 
 Genome
@@ -298,30 +293,23 @@ SearchSpace::genomeFromJson(const json::Value& v) const
                 " genes, space has " + std::to_string(genomeSize()));
     Genome g;
     g.reserve(v.array.size());
-    for (const auto& e : v.array) {
-        fatalIf(!e.isNumber(), ErrorCode::CorruptInput,
-                "genome: non-numeric gene");
-        g.push_back(static_cast<int>(e.number));
-    }
+    for (const auto& e : v.array)
+        g.push_back(e.asInteger<int>("genome gene"));
     return clamp(std::move(g));
 }
 
 std::string
 SearchSpace::spaceJson() const
 {
+    constexpr std::tuple kFields{
+        json::Field{"featureSlots", &SearchSpace::featureSlots},
+        json::Field{"searchThresholds", &SearchSpace::searchThresholds},
+        json::Field{"searchSampler", &SearchSpace::searchSampler},
+        json::Field{"samplerSets", &SearchSpace::samplerSets},
+    };
     std::string out = "{";
-    out += json::key("featureSlots") + std::to_string(featureSlots);
-    out += ", " + json::key("searchThresholds") +
-           (searchThresholds ? "true" : "false");
-    out += ", " + json::key("searchSampler") +
-           (searchSampler ? "true" : "false");
-    out += ", " + json::key("samplerSets") + "[";
-    for (std::size_t i = 0; i < samplerSets.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(samplerSets[i]);
-    }
-    out += "], " + json::key("substrate") +
+    out += json::fieldsJson(*this, kFields);
+    out += ", " + json::key("substrate") +
            json::str(substrateName(base.substrate));
     out += ", " + json::key("weightBits") +
            std::to_string(base.predictor.weightBits);

@@ -51,7 +51,7 @@ struct Candidate
  * of the same genome occupy distinct fitness-cache keys for free —
  * and only sampling-aware objectives (mrc::SampledRungObjective)
  * interpret the bit; plain objectives must never see it. Far above
- * any real instruction budget (< 2^53 for exact JSON round-trips).
+ * any real instruction budget.
  */
 inline constexpr InstCount kSampledBudgetFlag = InstCount{1} << 62;
 

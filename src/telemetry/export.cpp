@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "util/json_fields.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
@@ -26,25 +27,13 @@ leafOf(const std::string& name)
     return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
-void
-appendHistogramJson(std::string& out, const HistogramSnapshot& h)
-{
-    out += "{\"bounds\": [";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(h.bounds[i]);
-    }
-    out += "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(h.counts[i]);
-    }
-    out += "], \"overflow\": " + std::to_string(h.overflow);
-    out += ", \"total\": " + std::to_string(h.total);
-    out += ", \"sum\": " + std::to_string(h.sum) + "}";
-}
+constexpr std::tuple kHistogramFields{
+    json::Field{"bounds", &HistogramSnapshot::bounds},
+    json::Field{"counts", &HistogramSnapshot::counts},
+    json::Field{"overflow", &HistogramSnapshot::overflow},
+    json::Field{"total", &HistogramSnapshot::total},
+    json::Field{"sum", &HistogramSnapshot::sum},
+};
 
 /** One `"section": { ... }` of name->value lines. */
 template <typename Pred, typename Emit>
@@ -96,7 +85,9 @@ appendSnapshotSections(std::string& out, const Snapshot& snap,
             return m.kind == Kind::Histogram;
         },
         [](std::string& o, const MetricSnapshot& m) {
-            appendHistogramJson(o, m.histogram);
+            o += '{';
+            o += json::fieldsJson(m.histogram, kHistogramFields);
+            o += '}';
         });
 }
 
@@ -265,84 +256,40 @@ traceEventsJson(const RunTelemetry& t, const std::string& processName)
 
 // --- read side ------------------------------------------------------
 
-namespace {
-
-const json::Value&
-reqSection(const json::Value& v, std::string_view key,
-           const std::string& what)
-{
-    return v.require(key, json::Value::Type::Object, what);
-}
-
-double
-numberOf(const json::Value& v, const std::string& name,
-         const std::string& what)
-{
-    fatalIf(!v.isNumber(), ErrorCode::CorruptInput,
-            what + ": \"" + name + "\" must be a number");
-    return v.number;
-}
-
-HistogramSnapshot
-histogramFromJson(const json::Value& v, const std::string& name,
-                  const std::string& what)
-{
-    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
-            what + ": histogram \"" + name + "\" must be an object");
-    HistogramSnapshot h;
-    for (const auto& b :
-         v.require("bounds", json::Value::Type::Array, what).array)
-        h.bounds.push_back(static_cast<std::int64_t>(
-            numberOf(b, name + ".bounds", what)));
-    for (const auto& c :
-         v.require("counts", json::Value::Type::Array, what).array)
-        h.counts.push_back(static_cast<std::uint64_t>(
-            numberOf(c, name + ".counts", what)));
-    fatalIf(h.bounds.size() != h.counts.size(),
-            ErrorCode::CorruptInput,
-            what + ": histogram \"" + name +
-                "\" bounds/counts length mismatch");
-    h.overflow =
-        v.require("overflow", json::Value::Type::Number, what)
-            .asU64();
-    h.total =
-        v.require("total", json::Value::Type::Number, what).asU64();
-    h.sum = static_cast<std::int64_t>(
-        v.require("sum", json::Value::Type::Number, what).number);
-    return h;
-}
-
-} // namespace
-
 Snapshot
 snapshotFromJson(const json::Value& v, const std::string& what)
 {
     fatalIf(!v.isObject(), ErrorCode::CorruptInput,
             what + ": snapshot must be a JSON object");
+    const auto section = [&](const char* key) -> const auto& {
+        return v.require(key, json::Value::Type::Object, what).members;
+    };
     Snapshot s;
-    for (const auto& [name, val] :
-         reqSection(v, "counters", what).members) {
+    for (const auto& [name, val] : section("counters")) {
         MetricSnapshot m;
         m.name = name;
         m.kind = MetricSnapshot::Kind::Counter;
-        m.counter =
-            static_cast<std::uint64_t>(numberOf(val, name, what));
+        m.counter = val.asInteger<std::uint64_t>(what + ": " + name);
         s.metrics.push_back(std::move(m));
     }
-    for (const auto& [name, val] :
-         reqSection(v, "gauges", what).members) {
+    for (const auto& [name, val] : section("gauges")) {
         MetricSnapshot m;
         m.name = name;
         m.kind = MetricSnapshot::Kind::Gauge;
-        m.gauge = numberOf(val, name, what);
+        m.gauge = val.asReal(what + ": " + name);
         s.metrics.push_back(std::move(m));
     }
-    for (const auto& [name, val] :
-         reqSection(v, "histograms", what).members) {
+    for (const auto& [name, val] : section("histograms")) {
         MetricSnapshot m;
         m.name = name;
         m.kind = MetricSnapshot::Kind::Histogram;
-        m.histogram = histogramFromJson(val, name, what);
+        auto& h = m.histogram;
+        json::readFields(val, what + ": histogram \"" + name + "\"", h,
+                         kHistogramFields);
+        fatalIf(h.bounds.size() != h.counts.size(),
+                ErrorCode::CorruptInput,
+                what + ": histogram \"" + name +
+                    "\" bounds/counts length mismatch");
         s.metrics.push_back(std::move(m));
     }
     std::sort(s.metrics.begin(), s.metrics.end(),
@@ -355,24 +302,6 @@ snapshotFromJson(const json::Value& v, const std::string& what)
                 what + ": duplicate metric name \"" +
                     s.metrics[i].name + "\"");
     return s;
-}
-
-RunTelemetry
-telemetryFromJson(const json::Value& v, const std::string& what)
-{
-    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
-            what + ": metrics document must be a JSON object");
-    RunTelemetry t;
-    t.accesses =
-        v.require("accesses", json::Value::Type::Number, what)
-            .asU64();
-    t.epochAccesses =
-        v.require("epochAccesses", json::Value::Type::Number, what)
-            .asU64();
-    t.epochs.resize(
-        v.require("epochs", json::Value::Type::Number, what).asU64());
-    t.finalSnapshot = snapshotFromJson(v, what);
-    return t;
 }
 
 void

@@ -59,16 +59,6 @@ Snapshot snapshotFromJson(const json::Value& v,
                           const std::string& what);
 
 /**
- * Inverse of metricsJson. The per-epoch snapshots are not serialized
- * (only their count is), so the returned RunTelemetry carries
- * `epochs.size()` empty epoch samples — enough for metricsJson to
- * round-trip byte-identically. Malformed input throws
- * FatalError(ErrorCode::CorruptInput).
- */
-RunTelemetry telemetryFromJson(const json::Value& v,
-                               const std::string& what);
-
-/**
  * Merge @p from into @p into — the fleet aggregation semantics:
  * counters add, histograms add bucket-wise (the bounds must be
  * identical, else FatalError(ErrorCode::CorruptInput) — histograms

@@ -4,6 +4,7 @@
 
 #include "trace/sampled_source.hpp"
 #include "trace/workloads.hpp"
+#include "util/json_fields.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
@@ -182,26 +183,33 @@ TraceSpec::withInstructions(InstCount instructions) const
 
 namespace {
 
-std::uint64_t
-requireU64(const json::Value& v, const char* key,
-           const std::string& what)
-{
-    return v.require(key, json::Value::Type::Number, what).asU64();
-}
-
-double
-requireDouble(const json::Value& v, const char* key,
-              const std::string& what)
-{
-    return v.require(key, json::Value::Type::Number, what).number;
-}
-
-std::string
-requireString(const json::Value& v, const char* key,
-              const std::string& what)
-{
-    return v.require(key, json::Value::Type::String, what).string;
-}
+// The generator parameters that shape the record stream, in wire
+// order (chunkRecords is delivery, not identity).
+constexpr std::tuple kZipfFields{
+    json::Field{"name", &ZipfParams::name},
+    json::Field{"instructions", &ZipfParams::instructions},
+    json::Field{"seed", &ZipfParams::seed},
+    json::Field{"dataBase", &ZipfParams::dataBase},
+    json::Field{"codeBase", &ZipfParams::codeBase},
+    json::Field{"keys", &ZipfParams::keys},
+    json::Field{"theta", &ZipfParams::theta},
+    json::Field{"storeProb", &ZipfParams::storeProb},
+    json::Field{"padsPerAccess", &ZipfParams::padsPerAccess},
+};
+constexpr std::tuple kBlockIoFields{
+    json::Field{"name", &BlockIoParams::name},
+    json::Field{"instructions", &BlockIoParams::instructions},
+    json::Field{"seed", &BlockIoParams::seed},
+    json::Field{"dataBase", &BlockIoParams::dataBase},
+    json::Field{"codeBase", &BlockIoParams::codeBase},
+    json::Field{"volumeBytes", &BlockIoParams::volumeBytes},
+    json::Field{"hotFraction", &BlockIoParams::hotFraction},
+    json::Field{"seqProb", &BlockIoParams::seqProb},
+    json::Field{"hotProb", &BlockIoParams::hotProb},
+    json::Field{"writeProb", &BlockIoParams::writeProb},
+    json::Field{"maxRunBlocks", &BlockIoParams::maxRunBlocks},
+    json::Field{"padsPerRequest", &BlockIoParams::padsPerRequest},
+};
 
 } // namespace
 
@@ -209,8 +217,8 @@ std::string
 TraceSpec::toJson() const
 {
     // Every field that shapes the record sequence is serialized;
-    // u64 values ride as JSON numbers, which is exact below 2^53 —
-    // far above any instruction target or seed in use.
+    // u64 values ride as JSON integer literals, which the reader
+    // decodes exactly over the whole u64 range.
     switch (kind_) {
     case Kind::Borrowed:
         fatalIf(true, ErrorCode::Config,
@@ -229,40 +237,15 @@ TraceSpec::toJson() const
         return "{\"kind\": \"file\", \"path\": " + json::str(path_) +
                "}";
     case Kind::Zipf:
-        return "{\"kind\": \"zipf\", \"name\": " + json::str(zipf_.name) +
-               ", \"instructions\": " +
-               std::to_string(zipf_.instructions) +
-               ", \"seed\": " + std::to_string(zipf_.seed) +
-               ", \"dataBase\": " + std::to_string(zipf_.dataBase) +
-               ", \"codeBase\": " + std::to_string(zipf_.codeBase) +
-               ", \"keys\": " + std::to_string(zipf_.keys) +
-               ", \"theta\": " + json::formatDouble(zipf_.theta) +
-               ", \"storeProb\": " +
-               json::formatDouble(zipf_.storeProb) +
-               ", \"padsPerAccess\": " +
-               std::to_string(zipf_.padsPerAccess) + "}";
-    case Kind::BlockIo:
-        return "{\"kind\": \"blkio\", \"name\": " +
-               json::str(blockIo_.name) +
-               ", \"instructions\": " +
-               std::to_string(blockIo_.instructions) +
-               ", \"seed\": " + std::to_string(blockIo_.seed) +
-               ", \"dataBase\": " + std::to_string(blockIo_.dataBase) +
-               ", \"codeBase\": " + std::to_string(blockIo_.codeBase) +
-               ", \"volumeBytes\": " +
-               std::to_string(blockIo_.volumeBytes) +
-               ", \"hotFraction\": " +
-               json::formatDouble(blockIo_.hotFraction) +
-               ", \"seqProb\": " +
-               json::formatDouble(blockIo_.seqProb) +
-               ", \"hotProb\": " +
-               json::formatDouble(blockIo_.hotProb) +
-               ", \"writeProb\": " +
-               json::formatDouble(blockIo_.writeProb) +
-               ", \"maxRunBlocks\": " +
-               std::to_string(blockIo_.maxRunBlocks) +
-               ", \"padsPerRequest\": " +
-               std::to_string(blockIo_.padsPerRequest) + "}";
+    case Kind::BlockIo: {
+        const bool zipf = kind_ == Kind::Zipf;
+        std::string out = zipf ? "{\"kind\": \"zipf\", "
+                               : "{\"kind\": \"blkio\", ";
+        out += zipf ? json::fieldsJson(zipf_, kZipfFields)
+                    : json::fieldsJson(blockIo_, kBlockIoFields);
+        out += '}';
+        return out;
+    }
     case Kind::PhaseMix: {
         std::string out = "{\"kind\": \"phaseMix\", \"name\": " +
                           json::str(name_) + ", \"instructions\": " +
@@ -292,53 +275,30 @@ TraceSpec::fromJson(const json::Value& v, const std::string& what)
 {
     fatalIf(!v.isObject(), ErrorCode::CorruptInput,
             what + ": trace spec must be a JSON object");
-    const std::string kind = requireString(v, "kind", what);
+    const std::string kind = v.str("kind", what);
     if (kind == "suite" || kind == "heldOut") {
-        const auto index =
-            static_cast<unsigned>(requireU64(v, "index", what));
-        const auto insts = requireU64(v, "instructions", what);
-        const auto seed = requireU64(v, "seed", what);
+        const auto index = v.integer<unsigned>("index", what);
+        const auto insts = v.integer("instructions", what);
+        const auto seed = v.integer("seed", what);
         return kind == "suite" ? suite(index, insts, seed)
                                : heldOut(index, insts, seed);
     }
     if (kind == "file")
-        return file(requireString(v, "path", what));
+        return file(v.str("path", what));
     if (kind == "zipf") {
         ZipfParams p;
-        p.name = requireString(v, "name", what);
-        p.instructions = requireU64(v, "instructions", what);
-        p.seed = requireU64(v, "seed", what);
-        p.dataBase = requireU64(v, "dataBase", what);
-        p.codeBase = requireU64(v, "codeBase", what);
-        p.keys = requireU64(v, "keys", what);
-        p.theta = requireDouble(v, "theta", what);
-        p.storeProb = requireDouble(v, "storeProb", what);
-        p.padsPerAccess =
-            static_cast<unsigned>(requireU64(v, "padsPerAccess", what));
+        json::readFields(v, what, p, kZipfFields);
         return zipf(std::move(p));
     }
     if (kind == "blkio") {
         BlockIoParams p;
-        p.name = requireString(v, "name", what);
-        p.instructions = requireU64(v, "instructions", what);
-        p.seed = requireU64(v, "seed", what);
-        p.dataBase = requireU64(v, "dataBase", what);
-        p.codeBase = requireU64(v, "codeBase", what);
-        p.volumeBytes = requireU64(v, "volumeBytes", what);
-        p.hotFraction = requireDouble(v, "hotFraction", what);
-        p.seqProb = requireDouble(v, "seqProb", what);
-        p.hotProb = requireDouble(v, "hotProb", what);
-        p.writeProb = requireDouble(v, "writeProb", what);
-        p.maxRunBlocks =
-            static_cast<unsigned>(requireU64(v, "maxRunBlocks", what));
-        p.padsPerRequest = static_cast<unsigned>(
-            requireU64(v, "padsPerRequest", what));
+        json::readFields(v, what, p, kBlockIoFields);
         return blockIo(std::move(p));
     }
     if (kind == "phaseMix") {
-        const std::string name = requireString(v, "name", what);
-        const auto insts = requireU64(v, "instructions", what);
-        const auto phase = requireU64(v, "phaseInstructions", what);
+        const std::string name = v.str("name", what);
+        const auto insts = v.integer("instructions", what);
+        const auto phase = v.integer("phaseInstructions", what);
         const auto& kids =
             v.require("children", json::Value::Type::Array, what);
         std::vector<TraceSpec> children;
@@ -348,8 +308,7 @@ TraceSpec::fromJson(const json::Value& v, const std::string& what)
         return phaseMix(name, insts, phase, std::move(children));
     }
     if (kind == "sampled") {
-        const auto rate =
-            static_cast<unsigned>(requireU64(v, "rateLog2", what));
+        const auto rate = v.integer<unsigned>("rateLog2", what);
         const auto& child =
             v.require("child", json::Value::Type::Object, what);
         return sampled(fromJson(child, what), rate);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 #include <new>
@@ -11,6 +10,7 @@
 
 #include "util/hash.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 
 namespace mrp::fault {
@@ -108,12 +108,14 @@ armFromSpec(const std::string& spec_text)
               "fault spec \"" + spec_text +
                   "\": kind must be io|stall|alloc|corrupt");
     if (parts.size() > 2)
-        spec.firstHit = std::strtoull(parts[2].c_str(), nullptr, 10);
+        spec.firstHit = flagInteger<std::uint64_t>(
+            "fault spec \"" + spec_text + "\" FIRSTHIT", parts[2]);
     if (parts.size() > 3)
-        spec.maxFires = std::strtoll(parts[3].c_str(), nullptr, 10);
+        spec.maxFires = flagInteger<std::int64_t>(
+            "fault spec \"" + spec_text + "\" MAXFIRES", parts[3]);
     if (parts.size() > 4)
-        spec.stallMillis = static_cast<unsigned>(
-            std::strtoul(parts[4].c_str(), nullptr, 10));
+        spec.stallMillis = flagInteger<unsigned>(
+            "fault spec \"" + spec_text + "\" STALLMS", parts[4]);
     arm(parts[0], spec);
 }
 

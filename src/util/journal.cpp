@@ -61,7 +61,8 @@ unframeLine(const std::string& line)
 }
 
 Scan
-scanContent(const std::string& content, const std::string& path)
+scanContent(const std::string& content, const std::string& path,
+            const std::function<bool(const std::string&)>& accept)
 {
     Scan scan;
     std::size_t pos = 0;
@@ -74,11 +75,12 @@ scanContent(const std::string& content, const std::string& path)
             (complete ? nl : content.size()) - pos;
         auto json = unframeLine(content.substr(pos, len));
         const std::size_t next = complete ? nl + 1 : content.size();
-        if (!json) {
+        if (!json || (accept && !accept(*json))) {
             fatalIf(next < content.size(), ErrorCode::CorruptInput,
                     "corrupt journal " + path + ": line " +
                         std::to_string(line_no) +
-                        " fails checksum but is not the final line");
+                        " fails checksum/parse but is not the final "
+                        "line");
             return scan; // torn tail: drop it
         }
         scan.lines.push_back(std::move(*json));

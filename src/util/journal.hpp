@@ -24,6 +24,7 @@
 #define MRP_UTIL_JOURNAL_HPP
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -63,12 +64,16 @@ struct Scan
 };
 
 /**
- * Walk @p content line by line. An unparsable *final* chunk is a torn
- * tail and is excluded from validBytes; an unparsable interior line
- * means corruption and throws FatalError(ErrorCode::CorruptInput)
- * naming @p path and the line number.
+ * Walk @p content line by line. A line is valid when its frame checks
+ * out and @p accept (if given) takes its JSON body. An invalid *final*
+ * chunk is a torn tail and is excluded from validBytes; an invalid
+ * interior line means corruption and throws
+ * FatalError(ErrorCode::CorruptInput) naming @p path and the line
+ * number.
  */
-Scan scanContent(const std::string& content, const std::string& path);
+Scan scanContent(
+    const std::string& content, const std::string& path,
+    const std::function<bool(const std::string&)>& accept = nullptr);
 
 /** Read a whole file; throws FatalError(ErrorCode::Io) on failure. */
 std::string readWholeFile(const std::string& path);

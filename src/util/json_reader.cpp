@@ -1,8 +1,7 @@
 #include "util/json_reader.hpp"
 
-#include <cstdlib>
-
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace mrp::json {
 
@@ -23,6 +22,7 @@ class Parser
     }
 
     std::size_t pos() const { return pos_; }
+    bool tooDeep() const { return tooDeep_; }
 
   private:
     void
@@ -60,8 +60,20 @@ class Parser
         if (pos_ >= text_.size())
             return false;
         switch (text_[pos_]) {
-        case '{': return parseObject(out);
-        case '[': return parseArray(out);
+        case '{':
+        case '[': {
+            // Containers recurse; bound the depth so hostile input
+            // fails instead of exhausting the stack.
+            if (depth_ == kMaxDepth) {
+                tooDeep_ = true;
+                return false;
+            }
+            ++depth_;
+            const bool ok = text_[pos_] == '{' ? parseObject(out)
+                                               : parseArray(out);
+            --depth_;
+            return ok;
+        }
         case '"':
             out->type = Value::Type::String;
             return parseString(&out->string);
@@ -204,15 +216,26 @@ class Parser
             ++pos_;
         if (pos_ == start)
             return false;
-        const std::string tok(text_.substr(start, pos_ - start));
-        char* rest = nullptr;
+        const std::string_view tok = text_.substr(start, pos_ - start);
+        const auto d = parseDouble(tok);
+        if (!d)
+            return false;
         out->type = Value::Type::Number;
-        out->number = std::strtod(tok.c_str(), &rest);
-        return rest != nullptr && *rest == '\0';
+        out->number = *d;
+        // An integer literal also keeps its exact value.
+        const bool minus = tok.front() == '-';
+        if (const auto mag = parseU64(tok.substr(minus ? 1 : 0))) {
+            out->integral = true;
+            out->negative = minus && *mag != 0;
+            out->magnitude = *mag;
+        }
+        return true;
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
+    bool tooDeep_ = false;
 };
 
 const char*
@@ -245,13 +268,54 @@ Value::require(std::string_view key, Type t,
                const std::string& what) const
 {
     const Value* v = get(key);
-    fatalIf(v == nullptr, ErrorCode::CorruptInput,
-            what + ": missing required member \"" + std::string(key) +
-                "\"");
-    fatalIf(v->type != t, ErrorCode::CorruptInput,
-            what + ": member \"" + std::string(key) + "\" is not a " +
-                typeName(t));
+    if (v == nullptr || v->type != t)
+        fatal(ErrorCode::CorruptInput,
+              what + ": member \"" + std::string(key) +
+                  (v ? "\" is not a " : "\" is missing, want a ") +
+                  typeName(t));
     return *v;
+}
+
+double
+Value::asReal(const std::string& what) const
+{
+    if (!isNumber())
+        fatal(ErrorCode::CorruptInput,
+              what + ": expected a number, got a " + typeName(type));
+    return number;
+}
+
+double
+Value::real(std::string_view key, const std::string& what) const
+{
+    return require(key, Type::Number, what).number;
+}
+
+bool
+Value::flag(std::string_view key, const std::string& what) const
+{
+    return require(key, Type::Bool, what).boolean;
+}
+
+const std::string&
+Value::str(std::string_view key, const std::string& what) const
+{
+    return require(key, Type::String, what).string;
+}
+
+void
+Value::checkInteger(std::uint64_t max, std::uint64_t max_negative,
+                    const std::string& what, std::string_view key) const
+{
+    if (integral && magnitude <= (negative ? max_negative : max))
+        return;
+    std::string msg = what;
+    if (!key.empty())
+        msg += ": member \"" + std::string(key) + "\"";
+    msg += " is not an integer in [" +
+           (max_negative ? "-" + std::to_string(max_negative) : "0") +
+           ", " + std::to_string(max) + "]";
+    fatal(ErrorCode::CorruptInput, msg);
 }
 
 Value
@@ -259,9 +323,14 @@ parseJson(std::string_view text, const std::string& what)
 {
     Parser p(text);
     Value out;
-    fatalIf(!p.parse(&out), ErrorCode::CorruptInput,
-            what + ": malformed JSON near byte " +
-                std::to_string(p.pos()));
+    if (!p.parse(&out))
+        fatal(ErrorCode::CorruptInput,
+              what + (p.tooDeep()
+                          ? ": JSON nested deeper than " +
+                                std::to_string(kMaxDepth) +
+                                " levels near byte "
+                          : ": malformed JSON near byte ") +
+                  std::to_string(p.pos()));
     return out;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 namespace mrp::json {
 
@@ -96,6 +97,32 @@ str(const std::string& value)
     out += body;
     out += '"';
     return out;
+}
+
+/** A bool, number (doubles in formatDouble form), string, or array
+ * (std::array / std::vector) of those as a JSON value. */
+template <typename T>
+std::string
+valueJson(const T& v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return formatDouble(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return str(v);
+    } else if constexpr (std::is_integral_v<T>) {
+        return std::to_string(v);
+    } else {
+        std::string out = "[";
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i)
+                out += ", ";
+            out += valueJson(v[i]);
+        }
+        out += ']';
+        return out;
+    }
 }
 
 } // namespace mrp::json

@@ -74,6 +74,20 @@ TEST_F(FaultInjectionTest, FirstHitDelaysFiring)
     EXPECT_EQ(fires("t.late"), 1u);
 }
 
+TEST_F(FaultInjectionTest, SpecTextParsesNumbersStrictly)
+{
+    armFromSpec("t.spec:io:2:-1");
+    EXPECT_NO_THROW(checkIo("t.spec", "op"));
+    EXPECT_THROW(checkIo("t.spec", "op"), FatalError);
+    EXPECT_THROW(checkIo("t.spec", "op"), FatalError);
+    // A malformed number is a config error, not a silent 0 or a wrap.
+    for (const char* bad : {"t.bad:io:x", "t.bad:io:-1", "t.bad:io:1:2x",
+                            "t.bad:stall:1:1:-5", "t.bad:io: 3"})
+        EXPECT_EQ(codeOf([&] { armFromSpec(bad); }), ErrorCode::Config)
+            << bad;
+    EXPECT_EQ(hits("t.bad"), 0u);
+}
+
 TEST_F(FaultInjectionTest, UnlimitedFiresKeepFiring)
 {
     Spec spec;

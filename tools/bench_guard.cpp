@@ -19,13 +19,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "prof/bench_guard.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -71,11 +71,11 @@ run(int argc, char** argv)
         } else if (arg == "--candidate") {
             candidate_path = next();
         } else if (arg == "--tolerance") {
-            opts.tolerance = std::atof(next());
+            opts.tolerance = flagDouble(arg, next());
             fatalIf(opts.tolerance <= 0.0,
                     "--tolerance must be positive");
         } else if (arg == "--min-seconds") {
-            opts.minSeconds = std::atof(next());
+            opts.minSeconds = flagDouble(arg, next());
         } else if (arg == "--no-throughput") {
             opts.checkThroughput = false;
         } else if (arg == "--warn-only") {

@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -35,6 +34,7 @@
 #include "telemetry/metrics.hpp"
 #include "util/json_reader.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -90,23 +90,19 @@ checkTrace(const std::string& path, unsigned min_workers,
     const auto& events =
         doc.require("traceEvents", Type::Array, path).array;
 
-    std::set<double> worker_pids;
+    std::set<std::uint64_t> worker_pids;
     std::size_t leases = 0, ok_leases = 0, phases = 0, beats = 0;
     for (const auto& e : events) {
         fatalIf(!e.isObject(), ErrorCode::CorruptInput,
                 path + ": trace event is not an object");
-        const std::string& ph =
-            e.require("ph", Type::String, path).string;
+        const std::string& ph = e.str("ph", path);
         if (ph == "M") {
-            if (e.require("name", Type::String, path).string !=
-                "process_name")
+            if (e.str("name", path) != "process_name")
                 continue;
             const auto& args = e.require("args", Type::Object, path);
-            const std::string& name =
-                args.require("name", Type::String, path).string;
+            const std::string& name = args.str("name", path);
             if (name.rfind("worker", 0) == 0)
-                worker_pids.insert(
-                    e.require("pid", Type::Number, path).number);
+                worker_pids.insert(e.integer("pid", path));
             continue;
         }
         if (ph == "i") {
@@ -115,8 +111,7 @@ checkTrace(const std::string& path, unsigned min_workers,
         }
         if (ph != "X")
             continue;
-        const std::string& cat =
-            e.require("cat", Type::String, path).string;
+        const std::string& cat = e.str("cat", path);
         if (cat == "phase") {
             ++phases;
             continue;
@@ -125,14 +120,12 @@ checkTrace(const std::string& path, unsigned min_workers,
             continue;
         ++leases;
         const auto& args = e.require("args", Type::Object, path);
-        args.require("jobId", Type::Number, path);
+        args.integer("jobId", path);
         args.require("span", Type::String, path);
-        const std::string& outcome =
-            args.require("outcome", Type::String, path).string;
+        const std::string& outcome = args.str("outcome", path);
         if (outcome == "ok")
             ++ok_leases;
-        check(worker_pids.count(
-                  e.require("pid", Type::Number, path).number) != 0,
+        check(worker_pids.count(e.integer("pid", path)) != 0,
               path + ": lease span on a pid with no process_name");
     }
 
@@ -158,8 +151,7 @@ checkMetrics(const std::string& path)
 {
     using Type = json::Value::Type;
     const auto doc = json::parseJson(slurp(path), path);
-    check(doc.require("doc", Type::String, path).string ==
-              "mrp-fleet-metrics-v1",
+    check(doc.str("doc", path) == "mrp-fleet-metrics-v1",
           path + ": not a mrp-fleet-metrics-v1 document");
 
     const auto fleet = telemetry::snapshotFromJson(
@@ -210,8 +202,7 @@ run(int argc, char** argv)
         } else if (arg == "--metrics") {
             metrics_path = next();
         } else if (arg == "--min-workers") {
-            min_workers = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            min_workers = flagInteger<unsigned>(arg, next());
         } else if (arg == "--require-phases") {
             require_phases = true;
         } else {
