@@ -138,7 +138,7 @@ runHarness(int argc, char** argv)
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
+            insts = flagInteger<InstCount>(arg, next());
         } else if (arg == "--benchmark") {
             benchmarks = next();
         } else if (arg == "--policy") {
@@ -246,11 +246,5 @@ runHarness(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return runHarness(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "bench_harness: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("bench_harness", runHarness, argc, argv);
 }

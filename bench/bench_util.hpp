@@ -18,6 +18,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "prof/clock.hpp"
@@ -27,34 +28,39 @@
 #include "trace/mix.hpp"
 #include "trace/spec.hpp"
 #include "trace/workloads.hpp"
+#include "util/logging.hpp"
 #include "util/math_util.hpp"
+#include "util/parse_number.hpp"
 
 namespace mrp::bench {
 
-inline std::uint64_t
-envCount(const char* name, std::uint64_t fallback)
+/** Integer scale knob @p name from the environment, else @p fallback;
+ * FatalError(Config) when it is set but not an Int. */
+template <typename Int = std::uint64_t>
+Int
+envCount(const char* name, std::type_identity_t<Int> fallback)
 {
     if (const char* s = std::getenv(name))
-        return std::strtoull(s, nullptr, 10);
+        return flagInteger<Int>(name, s);
     return fallback;
 }
 
 inline InstCount
 singleThreadInsts()
 {
-    return envCount("MRP_BENCH_INSTS", 2500000);
+    return envCount<InstCount>("MRP_BENCH_INSTS", 2500000);
 }
 
 inline InstCount
 multiCoreInsts()
 {
-    return envCount("MRP_BENCH_MC_INSTS", 800000);
+    return envCount<InstCount>("MRP_BENCH_MC_INSTS", 800000);
 }
 
 inline unsigned
 mixCount(unsigned fallback)
 {
-    return static_cast<unsigned>(envCount("MRP_BENCH_MIXES", fallback));
+    return envCount<unsigned>("MRP_BENCH_MIXES", fallback);
 }
 
 /**
@@ -67,9 +73,8 @@ jobsFromArgs(int argc, char** argv)
 {
     for (int i = 1; i + 1 < argc; ++i)
         if (std::strcmp(argv[i], "--jobs") == 0)
-            return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    return static_cast<unsigned>(envCount("MRP_BENCH_JOBS", 0));
+            return flagInteger<unsigned>("--jobs", argv[i + 1]);
+    return envCount<unsigned>("MRP_BENCH_JOBS", 0);
 }
 
 /** Pre-generate the single-thread traces of the whole suite. */

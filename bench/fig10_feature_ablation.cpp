@@ -85,8 +85,10 @@ class AblationObjective : public sweep::Objective
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace mrp;
     const unsigned n_mixes = bench::mixCount(8);
@@ -109,7 +111,7 @@ main(int argc, char** argv)
             single[c] = single_ipc[mix.benchmarks[c]];
         lru_ws.push_back(
             sim::runMultiCore(sources.ptrs(),
-                              sim::makePolicyFactory("LRU"), cfg)
+                              sim::PolicyRegistry::make("LRU"), cfg)
                 .weightedSpeedup(single));
     }
 
@@ -169,4 +171,12 @@ main(int argc, char** argv)
         std::fflush(stdout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig10_feature_ablation", run, argc, argv);
 }

@@ -25,8 +25,10 @@
 #include "core/feature_sets.hpp"
 #include "sweep/study.hpp"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace mrp;
     const auto n_sets = static_cast<unsigned>(
@@ -113,4 +115,12 @@ main(int argc, char** argv)
                 core::formatFeatureSet(best_cfg.predictor.features)
                     .c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig3_feature_search", run, argc, argv);
 }

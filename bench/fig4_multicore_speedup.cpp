@@ -16,8 +16,10 @@
 
 #include "bench_util.hpp"
 
+namespace {
+
 int
-main()
+run(int, char**)
 {
     using namespace mrp;
     const unsigned n_mixes = bench::mixCount(32);
@@ -37,11 +39,11 @@ main()
             single[c] = single_ipc[mix.benchmarks[c]];
         const double lru_ws =
             sim::runMultiCore(sources.ptrs(),
-                              sim::makePolicyFactory("LRU"), cfg)
+                              sim::PolicyRegistry::make("LRU"), cfg)
                 .weightedSpeedup(single);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             const auto r = sim::runMultiCore(
-                sources.ptrs(), sim::makePolicyFactory(policies[p]),
+                sources.ptrs(), sim::PolicyRegistry::make(policies[p]),
                 cfg);
             ws[p].push_back(r.weightedSpeedup(single) / lru_ws);
         }
@@ -79,4 +81,12 @@ main()
     }
     std::printf("\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig4_multicore_speedup", run, argc, argv);
 }

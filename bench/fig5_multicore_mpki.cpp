@@ -10,8 +10,10 @@
 
 #include "bench_util.hpp"
 
+namespace {
+
 int
-main()
+run(int, char**)
 {
     using namespace mrp;
     const unsigned n_mixes = bench::mixCount(32);
@@ -27,7 +29,7 @@ main()
         const bench::MixSources sources(suite, mix);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             const auto r = sim::runMultiCore(
-                sources.ptrs(), sim::makePolicyFactory(policies[p]),
+                sources.ptrs(), sim::PolicyRegistry::make(policies[p]),
                 cfg);
             mpki[p].push_back(r.mpki);
         }
@@ -54,4 +56,12 @@ main()
         std::printf(" %12.3f", mean(col));
     std::printf("\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig5_multicore_mpki", run, argc, argv);
 }

@@ -15,8 +15,10 @@
 
 #include "bench_util.hpp"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace mrp;
     const InstCount insts = bench::singleThreadInsts();
@@ -89,4 +91,12 @@ main(int argc, char** argv)
     std::printf("# MPPPB share of MIN headroom: %.2f (paper: 0.66)\n",
                 (geomean(gm) - 1.0) / (geomean(gmin) - 1.0));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig6_singlethread_speedup", run, argc, argv);
 }

@@ -12,8 +12,10 @@
 
 #include "bench_util.hpp"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace mrp;
     const InstCount insts = bench::singleThreadInsts();
@@ -56,4 +58,12 @@ main(int argc, char** argv)
         std::printf(" %10.2f", mean(col));
     std::printf("\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig7_singlethread_mpki", run, argc, argv);
 }

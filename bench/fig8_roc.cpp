@@ -12,10 +12,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/feature_sets.hpp"
 #include "core/predictor.hpp"
 #include "policy/perceptron.hpp"
@@ -27,22 +27,13 @@
 
 namespace {
 
-mrp::InstCount
-envInsts()
-{
-    if (const char* s = std::getenv("MRP_BENCH_INSTS"))
-        return std::strtoull(s, nullptr, 10);
-    return 2000000;
-}
-
-} // namespace
-
 int
-main()
+run(int, char**)
 {
     using namespace mrp;
 
-    const InstCount insts = envInsts();
+    const auto insts =
+        bench::envCount<InstCount>("MRP_BENCH_INSTS", 2000000);
     const sim::SingleCoreConfig scfg;
     const cache::CacheGeometry geom(scfg.hierarchy.llcBytes,
                                     scfg.hierarchy.llcWays);
@@ -64,7 +55,7 @@ main()
         std::make_unique<core::MultiperspectivePredictor>(geom, 1, mcfg));
     auto probe = std::make_unique<sim::RocProbe>(geom, std::move(preds));
 
-    const auto lru = sim::makePolicyFactory("LRU");
+    const auto lru = sim::PolicyRegistry::make("LRU");
     for (unsigned b = 0; b < trace::suiteSize(); ++b) {
         const auto tr = trace::makeSuiteTrace(b, insts);
         trace::MaterializedTraceSource src(tr);
@@ -101,4 +92,12 @@ main()
         std::printf("\n");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig8_roc", run, argc, argv);
 }

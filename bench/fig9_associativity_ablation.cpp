@@ -12,8 +12,10 @@
 #include "core/feature_sets.hpp"
 #include "core/mpppb.hpp"
 
+namespace {
+
 int
-main()
+run(int, char**)
 {
     using namespace mrp;
     const unsigned n_mixes = bench::mixCount(8);
@@ -33,7 +35,7 @@ main()
             single[c] = single_ipc[mix.benchmarks[c]];
         lru_ws.push_back(
             sim::runMultiCore(sources.ptrs(),
-                              sim::makePolicyFactory("LRU"), cfg)
+                              sim::PolicyRegistry::make("LRU"), cfg)
                 .weightedSpeedup(single));
     }
 
@@ -64,4 +66,12 @@ main()
     }
     std::printf("%-12s %20.4f\n", "original", evaluate(base_cfg));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("fig9_associativity_ablation", run, argc, argv);
 }

@@ -164,8 +164,10 @@ reportProfilerOverhead()
 
 } // namespace
 
+namespace {
+
 int
-main()
+run(int, char**)
 {
     std::printf("# Hardware budget accounting (paper §4.4: 27.5KB "
                 "single-core, 104KB for 4 cores, each ~1.3%% of LLC)\n\n");
@@ -175,4 +177,12 @@ main()
            8 * 1024 * 1024, 16);
     reportProfilerOverhead();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("overhead_report", run, argc, argv);
 }

@@ -15,8 +15,10 @@
 #include "core/feature_sets.hpp"
 #include "core/mpppb.hpp"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace mrp;
     const InstCount insts = bench::envCount("MRP_BENCH_INSTS", 1500000);
@@ -97,4 +99,12 @@ main(int argc, char** argv)
                     worst_without, with_all, pct);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return mrp::guardedMain("table3_feature_benefit", run, argc, argv);
 }

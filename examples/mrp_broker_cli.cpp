@@ -216,11 +216,5 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "mrp_broker_cli: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("mrp_broker_cli", run, argc, argv);
 }

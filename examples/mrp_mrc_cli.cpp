@@ -183,7 +183,7 @@ run(int argc, char** argv)
         } else if (arg == "--sizes-kb") {
             for (const auto& s : cli::splitCommas(next()))
                 o.mrc.sizesBytes.push_back(
-                    flagInteger<std::uint64_t>(arg, s) * 1024);
+                    flagKib<std::uint64_t>(arg, s));
         } else if (arg == "--mode") {
             o.mrc.mode = mrc::parseMrcMode(next());
         } else if (arg == "--rate-log2") {
@@ -205,8 +205,7 @@ run(int argc, char** argv)
         } else if (arg == "--suggest-partition") {
             o.suggestPartition = true;
         } else if (arg == "--llc-kb") {
-            o.advisor.llcBytes =
-                flagInteger<std::uint64_t>(arg, next()) * 1024;
+            o.advisor.llcBytes = flagKib<std::uint64_t>(arg, next());
         } else if (arg == "--llc-ways") {
             o.advisor.llcWays = flagInteger<unsigned>(arg, next());
         } else if (arg == "--min-ways") {
@@ -253,11 +252,5 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "mrp_mrc_cli: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("mrp_mrc_cli", run, argc, argv);
 }

@@ -105,6 +105,7 @@
 #include "prof/export.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
+#include "sweep_cli_common.hpp"
 #include "trace/spec.hpp"
 #include "trace/stream_reader.hpp"
 #include "trace/workloads.hpp"
@@ -156,73 +157,17 @@ benchmarkIndex(const std::string& name)
     return std::nullopt;
 }
 
-std::vector<std::string>
-splitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const auto comma = s.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/** Streaming generator families addressable by --benchmark name. */
-std::optional<trace::TraceSpec>
-streamFamilySpec(const std::string& name, InstCount insts,
-                 std::uint64_t seed)
-{
-    if (name == "zipf" || name.rfind("zipf:", 0) == 0) {
-        trace::ZipfParams p;
-        p.instructions = insts;
-        if (seed != 0)
-            p.seed = seed;
-        if (name.size() > 5) {
-            p.theta = flagDouble("--benchmark zipf:THETA", name.substr(5));
-            p.name = name;
-        }
-        return trace::TraceSpec::zipf(p);
-    }
-    if (name == "blkio") {
-        trace::BlockIoParams p;
-        p.instructions = insts;
-        if (seed != 0)
-            p.seed = seed;
-        return trace::TraceSpec::blockIo(p);
-    }
-    if (name == "phase") {
-        trace::ZipfParams zp;
-        zp.instructions = insts;
-        trace::BlockIoParams bp;
-        bp.instructions = insts;
-        if (seed != 0) {
-            zp.seed = seed;
-            bp.seed = seed + 1;
-        }
-        std::vector<trace::TraceSpec> kids;
-        kids.push_back(trace::TraceSpec::zipf(zp));
-        kids.push_back(trace::TraceSpec::blockIo(bp));
-        return trace::TraceSpec::phaseMix(
-            "phase", insts, std::max<InstCount>(insts / 8, 1),
-            std::move(kids));
-    }
-    return std::nullopt;
-}
-
-/** Resolve one --benchmark/--mix name: generator family, suite, or
- * held-out workload. */
+/** Resolve one --benchmark/--mix name: generator family (seed 0
+ * keeps the family's default seed), suite, or held-out workload. */
 trace::TraceSpec
 resolveBenchmark(const std::string& name, InstCount insts,
                  std::uint64_t seed)
 {
-    if (auto fam = streamFamilySpec(name, insts, seed))
-        return *fam;
+    if (auto fam = cli::familySpec(
+            name, insts,
+            seed != 0 ? std::optional<std::uint64_t>(seed) : std::nullopt,
+            "--benchmark"))
+        return std::move(*fam);
     const auto idx = benchmarkIndex(name);
     fatalIf(!idx, ErrorCode::Config,
             "unknown benchmark '" + name + "' (--list)");
@@ -238,16 +183,7 @@ int run(int argc, char** argv);
 int
 main(int argc, char** argv)
 {
-    // User/configuration errors (unknown names, bad values, I/O
-    // failures) surface as FatalError; report them as CLI errors, not
-    // aborts.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "mrp_sim_cli: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("mrp_sim_cli", run, argc, argv);
 }
 
 namespace {
@@ -267,7 +203,7 @@ run(int argc, char** argv)
     runner::RunnerOptions ropts;
     std::string policy = "MPPPB";
     InstCount insts = 2500000;
-    Addr llc_kb = 2048;
+    Addr llc_bytes = 2048 * 1024;
     bool prefetch = true;
     bool timing = false;
     double warmup = 0.25;
@@ -308,7 +244,7 @@ run(int argc, char** argv)
         } else if (arg == "--insts") {
             insts = flagInteger<std::uint64_t>(arg, next());
         } else if (arg == "--llc-kb") {
-            llc_kb = flagInteger<std::uint64_t>(arg, next());
+            llc_bytes = flagKib<Addr>(arg, next());
         } else if (arg == "--no-prefetch") {
             prefetch = false;
         } else if (arg == "--warmup") {
@@ -363,10 +299,10 @@ run(int argc, char** argv)
         } else if (arg == "--mix") {
             mix_arg = next();
         } else if (arg == "--partition") {
-            for (const auto& w : splitCommas(next()))
+            for (const auto& w : cli::splitCommas(next()))
                 partition.push_back(flagInteger<unsigned>(arg, w));
         } else if (arg == "--slo-mpki") {
-            for (const auto& s : splitCommas(next()))
+            for (const auto& s : cli::splitCommas(next()))
                 slo_mpki.push_back(flagDouble(arg, s));
         } else if (arg == "--qos") {
             qos = true;
@@ -410,7 +346,7 @@ run(int argc, char** argv)
     std::vector<trace::TraceSpec> mix_specs;
     std::string mix_name;
     if (mix_mode) {
-        const auto names = splitCommas(mix_arg);
+        const auto names = cli::splitCommas(mix_arg);
         fatalIf(names.size() < 2, ErrorCode::Config,
                 "--mix needs >= 2 comma-separated benchmarks");
         for (const auto& n : names) {
@@ -426,19 +362,8 @@ run(int argc, char** argv)
         // resolved above; the single-source paths below are skipped
     } else if (!trace_path.empty()) {
         spec.emplace(trace::TraceSpec::file(trace_path));
-    } else if (auto fam = streamFamilySpec(benchmark, insts, seed)) {
-        spec = std::move(fam);
     } else {
-        const auto idx = benchmarkIndex(benchmark);
-        if (!idx) {
-            std::fprintf(stderr, "unknown benchmark '%s' (--list)\n",
-                         benchmark.c_str());
-            return 2;
-        }
-        spec.emplace(*idx >= 1000
-                         ? trace::TraceSpec::heldOut(*idx - 1000,
-                                                     insts, seed)
-                         : trace::TraceSpec::suite(*idx, insts, seed));
+        spec.emplace(resolveBenchmark(benchmark, insts, seed));
     }
 
     if (!dump_path.empty()) {
@@ -465,7 +390,7 @@ run(int argc, char** argv)
     }
 
     sim::SingleCoreConfig cfg;
-    cfg.hierarchy.llcBytes = llc_kb * 1024;
+    cfg.hierarchy.llcBytes = llc_bytes;
     cfg.hierarchy.prefetchEnabled = prefetch;
     cfg.warmupFraction = warmup;
     cfg.seed = seed;
@@ -483,7 +408,7 @@ run(int argc, char** argv)
     if (mix_mode) {
         const unsigned ncores =
             static_cast<unsigned>(mix_specs.size());
-        mcfg.hierarchy.llcBytes = llc_kb * 1024;
+        mcfg.hierarchy.llcBytes = llc_bytes;
         mcfg.hierarchy.prefetchEnabled = prefetch;
         mcfg.seed = seed;
         // FIESTA warmup is a total budget across cores; keep the
@@ -523,7 +448,7 @@ run(int argc, char** argv)
         }
     }
 
-    const auto policies = splitCommas(policy);
+    const auto policies = cli::splitCommas(policy);
     fatalIf(policies.empty(), "empty --policy list");
 
     // --resume implies continuing the same journal; a first run with
@@ -555,7 +480,7 @@ run(int argc, char** argv)
             policy == "MIN"
                 ? sim::runSingleCoreMin(*src, cfg)
                 : sim::runSingleCore(
-                      *src, sim::makePolicyFactory(policy), cfg);
+                      *src, sim::PolicyRegistry::make(policy), cfg);
         std::printf("benchmark : %s\n", r.benchmark.c_str());
         std::printf("policy    : %s\n", r.policy.c_str());
         std::printf("insts     : %llu\n",

@@ -120,11 +120,5 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "mrp_sweep_cli: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("mrp_sweep_cli", run, argc, argv);
 }

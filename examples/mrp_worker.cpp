@@ -317,11 +317,5 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "mrp_worker: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("mrp_worker", run, argc, argv);
 }

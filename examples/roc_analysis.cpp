@@ -6,11 +6,11 @@
  *
  * Usage: roc_analysis [predictor] [instructions] [benchmarks...]
  *   predictor: "sdbp" | "perceptron" | "multiperspective" (default)
+ * An unknown predictor, malformed number or unknown benchmark index
+ * exits 2 with a typed error.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 #include <memory>
 
 #include "core/feature_sets.hpp"
@@ -21,18 +21,22 @@
 #include "sim/single_core.hpp"
 #include "trace/source.hpp"
 #include "trace/workloads.hpp"
+#include "util/parse_number.hpp"
+
+using namespace mrp;
+
+namespace {
 
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
-    using namespace mrp;
-
     const std::string kind = argc > 1 ? argv[1] : "multiperspective";
     const InstCount insts =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1000000;
+        argc > 2 ? flagInteger<InstCount>("instructions", argv[2])
+                 : 1000000;
     std::vector<unsigned> benches;
     for (int i = 3; i < argc; ++i)
-        benches.push_back(static_cast<unsigned>(std::atoi(argv[i])));
+        benches.push_back(flagInteger<unsigned>("benchmark", argv[i]));
     if (benches.empty())
         benches = {9, 14, 16, 32}; // scan, mixpc, field, thrash
 
@@ -48,6 +52,8 @@ main(int argc, char** argv)
         preds.push_back(
             std::make_unique<policy::PerceptronPredictor>(geom, 1));
     } else {
+        fatalIf(kind != "multiperspective", ErrorCode::Config,
+                "unknown predictor '" + kind + "'");
         core::MultiperspectiveConfig mcfg;
         mcfg.features = core::featureSetTable1A();
         preds.push_back(
@@ -56,7 +62,7 @@ main(int argc, char** argv)
     }
     sim::RocProbe probe(geom, std::move(preds));
 
-    const auto lru = sim::makePolicyFactory("LRU");
+    const auto lru = sim::PolicyRegistry::make("LRU");
     for (const unsigned b : benches) {
         const auto tr = trace::makeSuiteTrace(b, insts);
         trace::MaterializedTraceSource src(tr);
@@ -81,4 +87,12 @@ main(int argc, char** argv)
                 probe.roc(0).tprAtFpr(0.25),
                 probe.roc(0).tprAtFpr(0.31));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return guardedMain("roc_analysis", run, argc, argv);
 }

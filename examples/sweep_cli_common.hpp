@@ -1,8 +1,10 @@
 /**
  * @file
- * Shared plumbing of the sweep CLIs (mrp_sweep_cli, mrp_broker_cli):
- * option parsing for the search space / corpus / strategy knobs, the
- * study assembly, and the report + stderr-summary emission. Both
+ * Shared plumbing of the command-line front ends: comma lists and
+ * streaming-family specs for every CLI, and for the sweep CLIs
+ * (mrp_sweep_cli, mrp_broker_cli) option parsing for the search
+ * space / corpus / strategy knobs, the study assembly, and the
+ * report + stderr-summary emission. Both
  * binaries build the identical Study from identical flags — only the
  * execution vehicle differs (in-process runner vs. queue broker) —
  * which is what makes their reports byte-comparable, the check the
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,18 +52,24 @@ splitCommas(const std::string& s)
     return out;
 }
 
-/** One streaming-family corpus member ("zipf[:THETA]", "blkio",
- * "phase") at the full corpus length. */
-inline trace::TraceSpec
-corpusFamilySpec(const std::string& name, InstCount insts,
-                 std::uint64_t seed)
+/**
+ * A streaming generator family by name ("zipf[:THETA]", "blkio",
+ * "phase") at @p insts instructions, or nullopt for any other name.
+ * @p seed, if given, replaces the family's default seed (the
+ * block-I/O half of "phase" takes seed + 1); @p flag names the option
+ * in errors.
+ */
+inline std::optional<trace::TraceSpec>
+familySpec(const std::string& name, InstCount insts,
+           std::optional<std::uint64_t> seed, const std::string& flag)
 {
     if (name == "zipf" || name.rfind("zipf:", 0) == 0) {
         trace::ZipfParams p;
         p.instructions = insts;
-        p.seed = seed;
+        if (seed)
+            p.seed = *seed;
         if (name.size() > 5) {
-            p.theta = flagDouble("--corpus zipf:THETA", name.substr(5));
+            p.theta = flagDouble(flag + " zipf:THETA", name.substr(5));
             p.name = name;
         }
         return trace::TraceSpec::zipf(p);
@@ -68,16 +77,19 @@ corpusFamilySpec(const std::string& name, InstCount insts,
     if (name == "blkio") {
         trace::BlockIoParams p;
         p.instructions = insts;
-        p.seed = seed;
+        if (seed)
+            p.seed = *seed;
         return trace::TraceSpec::blockIo(p);
     }
     if (name == "phase") {
         trace::ZipfParams zp;
         zp.instructions = insts;
-        zp.seed = seed;
         trace::BlockIoParams bp;
         bp.instructions = insts;
-        bp.seed = seed + 1;
+        if (seed) {
+            zp.seed = *seed;
+            bp.seed = *seed + 1;
+        }
         std::vector<trace::TraceSpec> kids;
         kids.push_back(trace::TraceSpec::zipf(zp));
         kids.push_back(trace::TraceSpec::blockIo(bp));
@@ -85,9 +97,19 @@ corpusFamilySpec(const std::string& name, InstCount insts,
             "phase", insts, std::max<InstCount>(insts / 8, 1),
             std::move(kids));
     }
-    fatal(ErrorCode::Config,
-          "unknown --corpus family '" + name +
-              "' (want zipf[:THETA], blkio, or phase)");
+    return std::nullopt;
+}
+
+/** One streaming-family corpus member at the full corpus length. */
+inline trace::TraceSpec
+corpusFamilySpec(const std::string& name, InstCount insts,
+                 std::uint64_t seed)
+{
+    auto spec = familySpec(name, insts, seed, "--corpus");
+    fatalIf(!spec, ErrorCode::Config,
+            "unknown --corpus family '" + name +
+                "' (want zipf[:THETA], blkio, or phase)");
+    return std::move(*spec);
 }
 
 /** Every option shared by the sweep CLIs, at its default. */
@@ -106,7 +128,7 @@ struct SweepCliConfig
                                        16, 18, 21, 25, 30};
     std::vector<std::string> corpusFamilies;
     bool decodeAhead = false;
-    Addr llcKb = 2048;
+    Addr llcBytes = 2048 * 1024;
     unsigned slots = 16;
     bool searchThresholds = false;
     bool searchSampler = false;
@@ -179,12 +201,13 @@ parseSweepArg(SweepCliConfig& c, int argc, char** argv, int& i)
     } else if (arg == "--decode-ahead") {
         c.decodeAhead = true;
     } else if (arg == "--llc-kb") {
-        c.llcKb = flagInteger<std::uint64_t>(arg, next());
+        const std::string kb = next();
+        c.llcBytes = flagKib<Addr>(arg, kb);
         // Reject impossible geometries at the flag, not mid-study.
         const std::string why = cache::CacheGeometry::describeInvalid(
-            c.llcKb * 1024, cache::HierarchyConfig{}.llcWays);
+            c.llcBytes, cache::HierarchyConfig{}.llcWays);
         fatalIf(!why.empty(), ErrorCode::Config,
-                "--llc-kb " + std::to_string(c.llcKb) + ": " + why);
+                "--llc-kb " + kb + ": " + why);
     } else if (arg == "--slots") {
         c.slots = flagInteger<unsigned>(arg, next());
     } else if (arg == "--search-thresholds") {
@@ -271,7 +294,7 @@ buildStudySetup(const SweepCliConfig& c)
         corpus.corpus.push_back(corpusFamilySpec(
             c.corpusFamilies[f], c.budgetInsts, c.seed + f));
     corpus.fullInstructions = c.budgetInsts;
-    corpus.sim.hierarchy.llcBytes = c.llcKb * 1024;
+    corpus.sim.hierarchy.llcBytes = c.llcBytes;
     corpus.jobs = c.jobs;
     corpus.openOptions.decodeAhead = c.decodeAhead;
     s->evaluator = std::make_shared<sweep::CorpusEvaluator>(corpus);

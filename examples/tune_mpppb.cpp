@@ -8,11 +8,12 @@
  *
  * Usage: tune_mpppb [substrate] [instructions] [combos]
  *   substrate: "mdpp" (default) or "srrip"
+ * An unknown substrate or malformed number exits 2 with a typed
+ * error.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/mpppb.hpp"
@@ -20,6 +21,7 @@
 #include "trace/source.hpp"
 #include "trace/workloads.hpp"
 #include "util/math_util.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 
 using namespace mrp;
@@ -49,16 +51,18 @@ evaluate(const std::vector<trace::Trace>& traces,
     return -geomean(speedups);
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
-    const bool srrip = argc > 1 && std::strcmp(argv[1], "srrip") == 0;
+    const std::string substrate = argc > 1 ? argv[1] : "mdpp";
+    fatalIf(substrate != "mdpp" && substrate != "srrip", ErrorCode::Config,
+            "unknown substrate '" + substrate + "'");
+    const bool srrip = substrate == "srrip";
     const InstCount insts =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1500000;
+        argc > 2 ? flagInteger<InstCount>("instructions", argv[2])
+                 : 1500000;
     const unsigned combos =
-        argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 48;
+        argc > 3 ? flagInteger<unsigned>("combos", argv[3]) : 48;
 
     std::vector<trace::Trace> traces;
     for (const unsigned b : kTrainBenchmarks)
@@ -71,7 +75,7 @@ main(int argc, char** argv)
     for (const auto& t : traces) {
         trace::MaterializedTraceSource src(t);
         lru_ipc.push_back(
-            sim::runSingleCore(src, sim::makePolicyFactory("LRU"), {})
+            sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), {})
                 .ipc);
     }
 
@@ -130,4 +134,12 @@ main(int argc, char** argv)
                 best.tau[1], best.tau[2], best.pi[0], best.pi[1],
                 best.pi[2], best.tauNoPromote, -best_mpki);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return guardedMain("tune_mpppb", run, argc, argv);
 }

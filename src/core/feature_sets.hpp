@@ -31,9 +31,10 @@ std::vector<FeatureSpec> featureSetTable2();
 
 /**
  * A feature set developed *on this infrastructure* with the paper's
- * §5 methodology (examples/feature_search: 60 random sets seeded with
- * the published tables, then 120 hill-climbing proposals, scored by
- * average MPKI on the 10 training workloads). Demonstrates that the
+ * §5 methodology (60 random sets seeded with the published tables,
+ * then 120 hill-climbing proposals, scored by average MPKI on the 10
+ * training workloads; mrp_sweep_cli now runs such searches, with a
+ * genetic refinement in place of the hill climb). Demonstrates that the
  * search machinery reproduces the paper's workflow end to end; the
  * published Table 1(a) remains the default configuration.
  */

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cmath>
 
+#include "prof/export.hpp"
 #include "telemetry/export.hpp"
 #include "util/json_writer.hpp"
+#include "util/trace_event.hpp"
 
 namespace mrp::obs {
 
@@ -34,53 +36,6 @@ struct Event
     std::uint64_t seq = 0;
     std::string json;
 };
-
-std::string
-eventHeader(const std::string& name, const std::string& cat,
-            unsigned pid, unsigned tid, double ts_us, double dur_us)
-{
-    return json::firstKey("name") + json::str(name) + ", " +
-           json::key("cat") + json::str(cat) +
-           ", \"ph\": \"X\", \"pid\": " + std::to_string(pid) +
-           ", \"tid\": " + std::to_string(tid) +
-           ", \"ts\": " + json::formatDouble(ts_us) +
-           ", \"dur\": " + json::formatDouble(dur_us);
-}
-
-/** Flame-graph layout of one phase subtree: a node spans its
- * inclusive time, children laid end to end from the node's start. */
-void
-emitPhases(const prof::PhaseStat& p, double start_us, unsigned pid,
-           std::vector<Event>& events, std::uint64_t& seq)
-{
-    const double dur_us = p.inclusiveSeconds * 1e6;
-    std::string e = eventHeader(p.label, "phase", pid, 1, start_us,
-                                dur_us);
-    e += ", " + json::key("args") + json::firstKey("count") +
-         std::to_string(p.count) + ", " +
-         json::key("exclusiveSeconds") +
-         json::formatDouble(p.exclusiveSeconds) + "}}";
-    events.push_back({start_us, pid, 1, seq++, std::move(e)});
-    double child_start = start_us;
-    for (const auto& c : p.children) {
-        emitPhases(c, child_start, pid, events, seq);
-        child_start += c.inclusiveSeconds * 1e6;
-    }
-}
-
-void
-appendMeta(std::string& out, const std::string& metaName,
-           unsigned pid, unsigned tid, const std::string& name,
-           bool& first)
-{
-    out += first ? "" : ",\n";
-    first = false;
-    out += json::firstKey("name") + json::str(metaName) +
-           ", \"ph\": \"M\", \"pid\": " + std::to_string(pid) +
-           ", \"tid\": " + std::to_string(tid) + ", " +
-           json::key("args") + json::firstKey("name") +
-           json::str(name) + "}}";
-}
 
 } // namespace
 
@@ -304,18 +259,18 @@ FleetCollector::stragglerReport() const
 std::string
 FleetCollector::traceJson() const
 {
-    std::string out = "{\"traceEvents\": [\n";
-    bool first = true;
-
     // Metadata first, in slot order: one trace process per worker
     // slot (pid = slot + 1; OS pids go in the span args — a restarted
     // slot is still one timeline).
+    std::vector<std::string> out;
     for (const auto& [slot, w] : workers_) {
         const unsigned pid = slot + 1;
-        appendMeta(out, "process_name", pid, 0,
-                   "worker" + std::to_string(slot), first);
-        appendMeta(out, "thread_name", pid, 0, "lease", first);
-        appendMeta(out, "thread_name", pid, 1, "phases", first);
+        out.push_back(trace_event::metadata(
+            "process_name", pid, 0, "worker" + std::to_string(slot)));
+        out.push_back(
+            trace_event::metadata("thread_name", pid, 0, "lease"));
+        out.push_back(
+            trace_event::metadata("thread_name", pid, 1, "phases"));
     }
 
     std::vector<Event> events;
@@ -331,45 +286,42 @@ FleetCollector::traceJson() const
             end = s.beats.empty() ? s.startSeconds : s.beats.back();
             outcome = "open";
         }
-        std::string e = eventHeader(s.label, "lease", pid, 0,
-                                    start_us,
-                                    (end - s.startSeconds) * 1e6);
-        e += ", " + json::key("args") + json::firstKey("jobId") +
-             std::to_string(s.jobId);
-        e += ", " + json::key("attempt") + std::to_string(s.attempt);
-        e += ", " + json::key("trace") + json::str(hex16(trace_id_));
-        e += ", " + json::key("span") + json::str(hex16(s.spanId));
-        e += ", " + json::key("heartbeats") +
-             std::to_string(s.beats.size());
-        e += ", " + json::key("outcome") + json::str(outcome);
+        trace_event::Object args;
+        args.add("jobId", s.jobId)
+            .add("attempt", s.attempt)
+            .add("trace", hex16(trace_id_))
+            .add("span", hex16(s.spanId))
+            .add("heartbeats", s.beats.size())
+            .add("outcome", outcome);
         if (!s.reason.empty())
-            e += ", " + json::key("reason") + json::str(s.reason);
+            args.add("reason", s.reason);
         if (s.obs) {
-            e += ", " + json::key("wallSeconds") +
-                 json::formatDouble(s.obs->wallSeconds);
-            e += ", " + json::key("accesses") +
-                 std::to_string(s.obs->accesses);
+            args.add("wallSeconds", s.obs->wallSeconds)
+                .add("accesses", s.obs->accesses);
             if (s.obs->truncated)
-                e += ", " + json::key("truncated") + "true";
+                args.add("truncated", true);
         }
-        e += "}}";
-        events.push_back({start_us, pid, 0, seq++, std::move(e)});
+        events.push_back(
+            {start_us, pid, 0, seq++,
+             trace_event::complete(s.label, "lease", pid, 0, start_us,
+                                   (end - s.startSeconds) * 1e6,
+                                   args)});
 
         for (const double b : s.beats) {
             const double ts = b * 1e6;
-            std::string hb =
-                json::firstKey("name") + json::str("hb") + ", " +
-                json::key("cat") + json::str("lease") +
-                ", \"ph\": \"i\", \"s\": \"t\", \"pid\": " +
-                std::to_string(pid) +
-                ", \"tid\": 0, \"ts\": " + json::formatDouble(ts) +
-                ", " + json::key("args") + json::firstKey("span") +
-                json::str(hex16(s.spanId)) + "}}";
-            events.push_back({ts, pid, 0, seq++, std::move(hb)});
+            events.push_back(
+                {ts, pid, 0, seq++,
+                 trace_event::instant(
+                     "hb", "lease", pid, 0, ts,
+                     trace_event::Object().add("span", hex16(s.spanId)))});
         }
 
         if (s.obs && s.obs->phases)
-            emitPhases(*s.obs->phases, start_us, pid, events, seq);
+            prof::phaseEvents(*s.obs->phases, start_us, pid, 1,
+                              [&](double ts, std::string e) {
+                                  events.push_back(
+                                      {ts, pid, 1, seq++, std::move(e)});
+                              });
     }
 
     std::sort(events.begin(), events.end(),
@@ -382,13 +334,9 @@ FleetCollector::traceJson() const
                       return a.tid < b.tid;
                   return a.seq < b.seq;
               });
-    for (auto& e : events) {
-        out += first ? "" : ",\n";
-        first = false;
-        out += e.json;
-    }
-    out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-    return out;
+    for (auto& e : events)
+        out.push_back(std::move(e.json));
+    return trace_event::document(out);
 }
 
 std::string

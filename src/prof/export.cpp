@@ -10,6 +10,7 @@
 
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
+#include "util/trace_event.hpp"
 
 namespace mrp::prof {
 
@@ -163,43 +164,23 @@ benchJson(const std::string& name, const std::vector<BenchRun>& runs,
     return out;
 }
 
-namespace {
-
-/** Microseconds, formatted as an integer-friendly double. */
-std::string
-micros(double seconds)
-{
-    return json::formatDouble(seconds * 1e6);
-}
-
 void
-appendPhaseEvents(const PhaseStat& p, double start_seconds, int pid,
-                  std::vector<std::string>* events)
+phaseEvents(const PhaseStat& p, double start_us, unsigned pid,
+            unsigned tid,
+            const std::function<void(double, std::string)>& emit)
 {
-    events->push_back(
-        "{\"name\": " + json::str(p.label) +
-        ", \"ph\": \"X\", \"pid\": " + std::to_string(pid) +
-        ", \"tid\": 0, \"ts\": " + micros(start_seconds) +
-        ", \"dur\": " + micros(p.inclusiveSeconds) +
-        ", \"args\": {\"count\": " + std::to_string(p.count) + "}}");
-    double cursor = start_seconds;
+    emit(start_us,
+         trace_event::complete(
+             p.label, "phase", pid, tid, start_us,
+             p.inclusiveSeconds * 1e6,
+             trace_event::Object()
+                 .add("count", p.count)
+                 .add("exclusiveSeconds", p.exclusiveSeconds)));
+    double child_start = start_us;
     for (const PhaseStat& c : p.children) {
-        appendPhaseEvents(c, cursor, pid, events);
-        cursor += c.inclusiveSeconds;
+        phaseEvents(c, child_start, pid, tid, emit);
+        child_start += c.inclusiveSeconds * 1e6;
     }
-}
-
-} // namespace
-
-void
-appendTraceEvents(const BenchRun& run, int pid,
-                  std::vector<std::string>* events)
-{
-    events->push_back(
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
-        std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": " +
-        json::str("prof:" + run.benchmark + "/" + run.policy) + "}}");
-    appendPhaseEvents(run.profile.root, 0.0, pid, events);
 }
 
 } // namespace mrp::prof

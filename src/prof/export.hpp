@@ -13,6 +13,7 @@
 #ifndef MRP_PROF_EXPORT_HPP
 #define MRP_PROF_EXPORT_HPP
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -79,17 +80,17 @@ PhaseStat phaseTreeFromJson(const json::Value& v,
                             const std::string& what);
 
 /**
- * Append the phase tree of @p run as Chrome trace_event "X" events to
- * @p events (one JSON object string each, no trailing commas).
- * Timestamps are synthesized from the tree (a phase starts where its
- * prior siblings end), so the flame is an *aggregate* profile laid out
- * as a timeline, not a faithful event order. Events are emitted under
- * process id @p pid / thread 0 with a metadata record naming the
- * process "prof:<benchmark>/<policy>", which keeps profile flames
- * separate from the telemetry processes in a combined trace document.
+ * Lay out the phase tree @p p as trace_event complete events
+ * (cat "phase", args count and exclusiveSeconds) on thread @p tid of
+ * process @p pid. A node spans its inclusive time from @p start_us
+ * (microseconds) and its children lie end to end from the node's
+ * start, so the flame is an *aggregate* profile drawn as a timeline,
+ * not a faithful event order. @p emit receives each event with its
+ * ts, parents before children.
  */
-void appendTraceEvents(const BenchRun& run, int pid,
-                       std::vector<std::string>* events);
+void phaseEvents(const PhaseStat& p, double start_us, unsigned pid,
+                 unsigned tid,
+                 const std::function<void(double, std::string)>& emit);
 
 } // namespace mrp::prof
 

@@ -10,7 +10,7 @@
 namespace mrp::prof {
 
 namespace detail {
-thread_local Profiler* tlsProfiler = nullptr;
+constinit thread_local Profiler* tlsProfiler = nullptr;
 } // namespace detail
 
 namespace {

@@ -115,7 +115,7 @@ class Profiler;
 
 namespace detail {
 /** The thread's attached profiler (managed by Attach). */
-extern thread_local Profiler* tlsProfiler;
+extern constinit thread_local Profiler* tlsProfiler;
 } // namespace detail
 
 class Profiler

@@ -2,12 +2,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "prof/export.hpp"
 #include "runner/checkpoint.hpp"
 #include "telemetry/export.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
+#include "util/trace_event.hpp"
 
 namespace mrp::runner {
 
@@ -254,17 +256,15 @@ toMetricsJson(const RunSet& set)
 std::string
 toTraceJson(const RunSet& set)
 {
-    std::string out = "{\"traceEvents\": [\n";
-    bool first = true;
+    std::vector<std::string> events;
     for (const auto& r : set.results) {
         if (!r.telemetry)
             continue;
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += telemetry::traceEvents(
+        auto run_events = telemetry::traceEvents(
             *r.telemetry, static_cast<unsigned>(r.index),
             r.benchmark + "/" + r.policy);
+        std::move(run_events.begin(), run_events.end(),
+                  std::back_inserter(events));
     }
     // Profiled runs contribute their phase tree as a second process
     // family (pid 10000+index) so the host-time flame sits next to the
@@ -272,23 +272,16 @@ toTraceJson(const RunSet& set)
     for (const auto& r : set.results) {
         if (!r.profile)
             continue;
-        prof::BenchRun br;
-        br.label = r.label;
-        br.benchmark = r.benchmark;
-        br.policy = r.policy;
-        br.profile = *r.profile;
-        std::vector<std::string> events;
-        prof::appendTraceEvents(
-            br, static_cast<int>(10000 + r.index), &events);
-        for (const auto& e : events) {
-            if (!first)
-                out += ",\n";
-            first = false;
-            out += e;
-        }
+        const auto pid = static_cast<unsigned>(10000 + r.index);
+        events.push_back(trace_event::metadata(
+            "process_name", pid, 0,
+            "prof:" + r.benchmark + "/" + r.policy));
+        prof::phaseEvents(r.profile->root, 0.0, pid, 0,
+                          [&](double, std::string e) {
+                              events.push_back(std::move(e));
+                          });
     }
-    out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-    return out;
+    return trace_event::document(events);
 }
 
 void

@@ -80,7 +80,9 @@ std::string toMetricsJson(const RunSet& set);
  * Perfetto / chrome://tracing: each telemetry-enabled run becomes one
  * process (pid = run index, named "benchmark/policy"), each
  * instrumented component one named thread, each epoch one complete
- * event whose args carry per-epoch counter deltas.
+ * event whose args carry per-epoch counter deltas. Each profiled run
+ * adds its phase flame (prof::phaseEvents) as process 10000 + index,
+ * named "prof:benchmark/policy".
  */
 std::string toTraceJson(const RunSet& set);
 

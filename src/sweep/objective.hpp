@@ -8,10 +8,9 @@
  * CorpusEvaluator is the shared workload-corpus evaluation path: it
  * holds the corpus as TraceSpec values (budget rungs are derived specs
  * via withInstructions, cached per budget — nothing is materialized;
- * every run streams its own source) and runs reference policies; both
- * the sweep objectives here and the legacy search::FeatureSetEvaluator
- * shim are built on it, so there is exactly one way a candidate gets
- * simulated.
+ * every run streams its own source) and runs reference policies; the
+ * sweep objectives here, fig3 and mrp_sweep_cli are all built on it,
+ * so there is exactly one way a candidate gets simulated.
  */
 
 #ifndef MRP_SWEEP_OBJECTIVE_HPP
@@ -53,7 +52,7 @@ class Objective
     score(const std::vector<const runner::RunResult*>& results) = 0;
 };
 
-/** Corpus definition shared by objectives and the search shim. */
+/** Corpus definition shared by the objectives and fig3. */
 struct CorpusConfig
 {
     std::vector<unsigned> workloads; //!< suite indices (training set)

@@ -6,6 +6,7 @@
 #include "util/json_fields.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
+#include "util/trace_event.hpp"
 
 namespace mrp::telemetry {
 
@@ -158,51 +159,42 @@ namespace {
 
 /** args of one component's epoch event: deltas for monotonic values,
  * point values for gauges. */
-std::string
+trace_event::Object
 epochArgs(const std::string& component, const Snapshot& cur,
           const Snapshot* prev)
 {
     using Kind = MetricSnapshot::Kind;
-    std::string out = "{";
-    bool first = true;
-    const auto add = [&](const std::string& key,
-                         const std::string& value) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += json::str(key) + ": " + value;
-    };
+    trace_event::Object args;
     for (const auto& m : cur.metrics) {
         if (componentOf(m.name) != component)
             continue;
         const MetricSnapshot* p = prev ? prev->find(m.name) : nullptr;
         switch (m.kind) {
           case Kind::Counter:
-            add(leafOf(m.name),
-                std::to_string(m.counter - (p ? p->counter : 0)));
+            args.add(leafOf(m.name),
+                     m.counter - (p ? p->counter : 0));
             break;
           case Kind::Gauge:
-            add(leafOf(m.name), json::formatDouble(m.gauge));
+            args.add(leafOf(m.name), m.gauge);
             break;
           case Kind::Histogram: {
             const std::uint64_t prev_total =
                 p ? p->histogram.total : 0;
             const std::int64_t prev_sum = p ? p->histogram.sum : 0;
-            add(leafOf(m.name) + ".total",
-                std::to_string(m.histogram.total - prev_total));
-            add(leafOf(m.name) + ".sum",
-                std::to_string(m.histogram.sum - prev_sum));
+            args.add(leafOf(m.name) + ".total",
+                     m.histogram.total - prev_total);
+            args.add(leafOf(m.name) + ".sum",
+                     m.histogram.sum - prev_sum);
             break;
           }
         }
     }
-    out += "}";
-    return out;
+    return args;
 }
 
 } // namespace
 
-std::string
+std::vector<std::string>
 traceEvents(const RunTelemetry& t, unsigned pid,
             const std::string& processName)
 {
@@ -214,17 +206,12 @@ traceEvents(const RunTelemetry& t, unsigned pid,
             tids.emplace(c, static_cast<unsigned>(tids.size()) + 1);
     }
 
-    std::string out = "{\"name\": \"process_name\", \"ph\": \"M\", "
-                      "\"pid\": " +
-                      std::to_string(pid) +
-                      ", \"tid\": 0, \"args\": {\"name\": " +
-                      json::str(processName) + "}}";
+    std::vector<std::string> events;
+    events.push_back(
+        trace_event::metadata("process_name", pid, 0, processName));
     for (const auto& [component, tid] : tids)
-        out += ",\n{\"name\": \"thread_name\", \"ph\": \"M\", "
-               "\"pid\": " +
-               std::to_string(pid) +
-               ", \"tid\": " + std::to_string(tid) +
-               ", \"args\": {\"name\": " + json::str(component) + "}}";
+        events.push_back(
+            trace_event::metadata("thread_name", pid, tid, component));
 
     for (std::size_t e = 0; e < t.epochs.size(); ++e) {
         const std::uint64_t ts =
@@ -232,26 +219,12 @@ traceEvents(const RunTelemetry& t, unsigned pid,
         const std::uint64_t dur = t.epochs[e].accesses - ts;
         const Snapshot* prev =
             e == 0 ? nullptr : &t.epochs[e - 1].snapshot;
-        for (const auto& [component, tid] : tids) {
-            out += ",\n{\"name\": " + json::str(component) +
-                   ", \"cat\": \"mrp\", \"ph\": \"X\", \"pid\": " +
-                   std::to_string(pid) +
-                   ", \"tid\": " + std::to_string(tid) +
-                   ", \"ts\": " + std::to_string(ts) +
-                   ", \"dur\": " + std::to_string(dur) +
-                   ", \"args\": " +
-                   epochArgs(component, t.epochs[e].snapshot, prev) +
-                   "}";
-        }
+        for (const auto& [component, tid] : tids)
+            events.push_back(trace_event::complete(
+                component, "mrp", pid, tid, ts, dur,
+                epochArgs(component, t.epochs[e].snapshot, prev)));
     }
-    return out;
-}
-
-std::string
-traceEventsJson(const RunTelemetry& t, const std::string& processName)
-{
-    return "{\"traceEvents\": [\n" + traceEvents(t, 0, processName) +
-           "\n], \"displayTimeUnit\": \"ms\"}\n";
+    return events;
 }
 
 // --- read side ------------------------------------------------------

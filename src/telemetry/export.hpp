@@ -16,10 +16,10 @@
  *                               "overflow": N, "total": N,
  *                               "sum": N }, ... } }
  *
- * Trace events follow the Chrome trace_event "JSON object format":
- * one complete event ("ph": "X") per epoch per component, where a
- * component is the first dot-separated segment of a metric name
- * ("llc", "mpppb", "predictor", "prefetch"). ts/dur count LLC
+ * Trace events (util/trace_event.hpp) are one complete event per
+ * epoch per component, where a component is the first dot-separated
+ * segment of a metric name ("llc", "mpppb", "predictor",
+ * "prefetch"). ts/dur count LLC
  * accesses (rendered as microseconds); args carry per-epoch deltas
  * for counters and histogram totals and point values for gauges.
  */
@@ -80,16 +80,13 @@ void mergeInto(Snapshot& into, const Snapshot& from);
 std::vector<std::string> metricsCsvRows(const RunTelemetry& t);
 
 /**
- * Comma-joined trace events (no enclosing brackets) for one run:
- * a process_name metadata event plus one complete event per epoch
- * per component, all with the given @p pid and @p processName.
+ * Trace events for one run, in order: a process_name metadata event,
+ * one thread_name event per component, then one complete event per
+ * epoch per component — all under @p pid, the process named
+ * @p processName. Wrap them with trace_event::document.
  */
-std::string traceEvents(const RunTelemetry& t, unsigned pid,
-                        const std::string& processName);
-
-/** A complete single-run trace document loadable in Perfetto. */
-std::string traceEventsJson(const RunTelemetry& t,
-                            const std::string& processName);
+std::vector<std::string> traceEvents(const RunTelemetry& t, unsigned pid,
+                                     const std::string& processName);
 
 } // namespace mrp::telemetry
 

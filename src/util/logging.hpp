@@ -12,6 +12,7 @@
 #ifndef MRP_UTIL_LOGGING_HPP
 #define MRP_UTIL_LOGGING_HPP
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -152,6 +153,25 @@ fatalIf(bool cond, ErrorCode code, std::string_view msg)
 {
     if (cond) [[unlikely]]
         fatal(code, std::string(msg));
+}
+
+/**
+ * The whole of a command-line front end's main(): @p run(argc, argv),
+ * with a FatalError (unknown name, bad value, I/O failure) reported as
+ * `<prog>: fatal: <message> [<code>]` on stderr and exit status 2
+ * instead of an abort.
+ */
+inline int
+guardedMain(const char* prog, int (*run)(int, char**), int argc,
+            char** argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError& e) {
+        std::fprintf(stderr, "%s: %s [%s]\n", prog, e.what(),
+                     errorCodeName(e.code()));
+        return 2;
+    }
 }
 
 } // namespace mrp

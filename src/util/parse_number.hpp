@@ -73,6 +73,22 @@ flagInteger(std::string_view flag, std::string_view text)
     return *v;
 }
 
+/** A KiB-valued command-line flag as a byte count of type @p Int;
+ * FatalError(Config) naming @p flag when the text is not an Int or
+ * the size in bytes does not fit one. */
+template <typename Int>
+Int
+flagKib(std::string_view flag, std::string_view text)
+{
+    const Int kib = flagInteger<Int>(flag, text);
+    if (kib > std::numeric_limits<Int>::max() / 1024)
+        fatal(ErrorCode::Config,
+              std::string(flag) + " " + std::string(text) +
+                  " KiB overflows a " +
+                  std::to_string(sizeof(Int) * 8) + "-bit byte count");
+    return kib * 1024;
+}
+
 /** Command-line flag value as a double; FatalError(Config) naming
  * @p flag when the text is not a number. */
 double flagDouble(std::string_view flag, std::string_view text);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Seeded mutation fuzzing of every decoder of untrusted bytes that
- * rides on the JSON reader or the queue line protocol: json::parseJson,
- * resultFromJson and loadJournal, requestFromJson, the protocol line
- * parsers, TraceSpec::fromJson and the OBS payload decoder.
+ * Seeded mutation fuzzing of every decoder of untrusted bytes: the
+ * ones riding on the JSON reader or the queue line protocol
+ * (json::parseJson, resultFromJson and loadJournal, requestFromJson,
+ * the protocol line parsers, TraceSpec::fromJson and the OBS payload
+ * decoder) and the v3 chunked trace-file reader (FileTraceSource).
  *
  * Each target starts from real documents written by the matching
  * encoder and decodes a fixed-seed stream of mutants (bit flips,
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,8 @@
 #include "runner/checkpoint.hpp"
 #include "runner/run_request.hpp"
 #include "trace/spec.hpp"
+#include "trace/stream_reader.hpp"
+#include "trace/workloads.hpp"
 #include "util/json_reader.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -337,6 +341,67 @@ TEST(DecodeFuzz, ObsPayload)
         obs::workerObsFromJson(s, "fuzz obs");
     });
     EXPECT_GT(ok, 0);
+}
+
+/** Every record of the trace file at @p path, as raw bytes. */
+std::string
+drainRecords(const std::string& path, trace::FileMode mode)
+{
+    trace::FileTraceSource src(path, mode);
+    std::string bytes;
+    for (auto chunk = src.nextChunk(); !chunk.empty();
+         chunk = src.nextChunk())
+        bytes.append(reinterpret_cast<const char*>(chunk.data()),
+                     chunk.size_bytes());
+    return bytes;
+}
+
+TEST(DecodeFuzz, ChunkedTraceFile)
+{
+    // A real v3 file in small chunks, so mutants land in the header,
+    // the chunk frames and the record payloads alike.
+    const std::string clean_path = "/tmp/mrp_decode_fuzz_clean.trace";
+    const std::string path = "/tmp/mrp_decode_fuzz_mutant.trace";
+    {
+        const auto tr = trace::makeSuiteTrace(3, 4000);
+        trace::ChunkedTraceWriter writer(clean_path, tr.name(), 64);
+        writer.append(tr.records());
+        writer.finish();
+    }
+    std::string clean;
+    {
+        std::ifstream is(clean_path, std::ios::binary);
+        clean.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    const std::string records =
+        drainRecords(clean_path, trace::FileMode::Buffered);
+    ASSERT_GT(records.size(), 0u);
+
+    // Every mutant either fails with a typed error or, when the
+    // mutation missed every checked byte, decodes to the original
+    // records: the CRCs leave no silent corruption.
+    Mutator m(8);
+    int drained = 0;
+    for (int i = 0; i < kIterations / 10; ++i) {
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os << (i == 0 ? clean : m.mutate(clean));
+        }
+        for (const auto mode :
+             {trace::FileMode::Buffered, trace::FileMode::Mmap}) {
+            try {
+                EXPECT_EQ(drainRecords(path, mode), records)
+                    << "mutant " << i << " decoded to other records";
+                ++drained;
+            } catch (const FatalError& e) {
+                EXPECT_NE(e.code(), ErrorCode::None) << e.what();
+                EXPECT_NE(e.code(), ErrorCode::Internal) << e.what();
+            }
+        }
+    }
+    std::remove(path.c_str());
+    std::remove(clean_path.c_str());
+    EXPECT_GE(drained, 2); // at least the clean file, in both modes
 }
 
 } // namespace

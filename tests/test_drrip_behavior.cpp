@@ -20,9 +20,9 @@ TEST(DrripBehavior, BeatsSrripOnCyclicThrash)
     const auto tr = trace::makeSuiteTrace(32, 1500000); // thrash.1p2x
     trace::MaterializedTraceSource src(tr);
     const auto srrip =
-        sim::runSingleCore(src, sim::makePolicyFactory("SRRIP"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("SRRIP"), {});
     const auto drrip =
-        sim::runSingleCore(src, sim::makePolicyFactory("DRRIP"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("DRRIP"), {});
     // SRRIP degenerates to ~LRU on a cyclic working set that exceeds
     // capacity; BRRIP's bimodal insertion retains a stable fraction.
     EXPECT_LT(drrip.llcDemandMisses, srrip.llcDemandMisses * 9 / 10);
@@ -33,9 +33,9 @@ TEST(DrripBehavior, MatchesSrripOnFriendlyWorkload)
     const auto tr = trace::makeSuiteTrace(4, 600000); // gups.fit
     trace::MaterializedTraceSource src(tr);
     const auto srrip =
-        sim::runSingleCore(src, sim::makePolicyFactory("SRRIP"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("SRRIP"), {});
     const auto drrip =
-        sim::runSingleCore(src, sim::makePolicyFactory("DRRIP"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("DRRIP"), {});
     // Nothing to duel over: both should be near-identical.
     EXPECT_NEAR(static_cast<double>(drrip.llcDemandMisses),
                 static_cast<double>(srrip.llcDemandMisses),
@@ -47,9 +47,9 @@ TEST(DrripBehavior, SrripStillHandlesScansBetterThanLru)
     const auto tr = trace::makeSuiteTrace(12, 1200000); // phase.ab
     trace::MaterializedTraceSource src(tr);
     const auto lru =
-        sim::runSingleCore(src, sim::makePolicyFactory("LRU"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), {});
     const auto srrip =
-        sim::runSingleCore(src, sim::makePolicyFactory("SRRIP"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("SRRIP"), {});
     EXPECT_LE(srrip.llcDemandMisses, lru.llcDemandMisses * 11 / 10);
 }
 

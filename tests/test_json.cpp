@@ -100,6 +100,22 @@ TEST(ParseNumber, FlagParsersFailAsConfigErrors)
     }
 }
 
+TEST(ParseNumber, KibFlagsRejectByteCountOverflow)
+{
+    EXPECT_EQ(flagKib<std::uint64_t>("--llc-kb", "2048"), 2048u * 1024);
+    // The largest KiB count whose byte count fits, and one past it,
+    // whose byte count would wrap to 0.
+    EXPECT_EQ(flagKib<std::uint64_t>("--llc-kb", "18014398509481983"),
+              18014398509481983ull * 1024);
+    EXPECT_EQ(
+        codeOf([] { flagKib<std::uint64_t>("--llc-kb", "18014398509481984"); }),
+        ErrorCode::Config);
+    EXPECT_EQ(codeOf([] { flagKib<unsigned>("--llc-kb", "4194304"); }),
+              ErrorCode::Config);
+    EXPECT_EQ(codeOf([] { flagKib<std::uint64_t>("--llc-kb", "-1"); }),
+              ErrorCode::Config);
+}
+
 // --- exact integers in the reader -------------------------------------
 
 TEST(JsonReader, IntegerLiteralsAreExact)

@@ -39,7 +39,7 @@ TEST_P(EveryPolicy, FunctionalCorrectnessUnderRandomTraffic)
     const std::uint32_t ways = 16;
     const cache::CacheGeometry g(bytes, ways);
     cache::PolicyCache c(bytes, ways,
-                         sim::makePolicyFactory(GetParam())(g, 1), 1);
+                         sim::PolicyRegistry::make(GetParam())(g, 1), 1);
     Rng rng(99);
     cache::CoreContext ctx;
     for (int i = 0; i < 100000; ++i) {
@@ -68,7 +68,7 @@ TEST_P(EveryPolicy, FunctionalCorrectnessUnderRandomTraffic)
 TEST_P(EveryPolicy, EndToEndDeterminism)
 {
     const auto tr = trace::makeSuiteTrace(14, 150000); // mixpc.hi
-    const auto factory = sim::makePolicyFactory(GetParam());
+    const auto factory = sim::PolicyRegistry::make(GetParam());
     // One source serves both runs: the driver rewinds at entry.
     trace::MaterializedTraceSource src(tr);
     const auto a = sim::runSingleCore(src, factory, {});
@@ -84,7 +84,7 @@ TEST_P(EveryPolicy, IpcWithinMachineBounds)
     const auto tr = trace::makeSuiteTrace(21, 150000); // prodcons.a
     trace::MaterializedTraceSource src(tr);
     const auto r =
-        sim::runSingleCore(src, sim::makePolicyFactory(GetParam()), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make(GetParam()), {});
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_LE(r.ipc, 4.0);
 }
@@ -112,9 +112,9 @@ TEST_P(PredictorPolicies, BeatsLruOnThrash)
     const auto tr = trace::makeSuiteTrace(32, 1200000); // thrash.1p2x
     trace::MaterializedTraceSource src(tr);
     const auto lru =
-        sim::runSingleCore(src, sim::makePolicyFactory("LRU"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), {});
     const auto r =
-        sim::runSingleCore(src, sim::makePolicyFactory(GetParam()), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make(GetParam()), {});
     EXPECT_LT(r.llcDemandMisses, lru.llcDemandMisses) << GetParam();
     EXPECT_GT(r.ipc, lru.ipc) << GetParam();
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the self-registering policy registry: lookup of built-in
- * names, the unknown-name and duplicate-registration error paths, the
- * makePolicyFactory shim, and that every paper policy constructs a
- * working policy end to end on a tiny trace.
+ * names, the unknown-name and duplicate-registration error paths, and
+ * that every paper policy constructs a working policy end to end on a
+ * tiny trace.
  */
 
 #include <gtest/gtest.h>
@@ -73,17 +73,6 @@ TEST(PolicyRegistryTest, RegisteredPolicyIsConstructibleByName)
     const cache::CacheGeometry g(256 * 1024, 16);
     auto pol = PolicyRegistry::make(name)(g, 1);
     ASSERT_NE(pol, nullptr);
-}
-
-TEST(PolicyRegistryTest, ShimMatchesRegistry)
-{
-    const cache::CacheGeometry g(2 * 1024 * 1024, 16);
-    auto viaShim = makePolicyFactory("Hawkeye")(g, 1);
-    auto viaRegistry = PolicyRegistry::make("Hawkeye")(g, 1);
-    ASSERT_NE(viaShim, nullptr);
-    ASSERT_NE(viaRegistry, nullptr);
-    EXPECT_EQ(viaShim->name(), viaRegistry->name());
-    EXPECT_THROW(makePolicyFactory("NoSuchPolicy"), FatalError);
 }
 
 TEST(PolicyRegistryTest, PaperPolicyNamesIsARegistryQuery)

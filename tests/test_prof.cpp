@@ -446,22 +446,27 @@ TEST(BenchExportTest, TraceEventsAreWellFormedJson)
         Attach attach(p);
         outerPhase(2);
     }
-    BenchRun run{"t/LRU", "t", "LRU", p.finish()};
+    const ProfileReport report = p.finish();
 
     std::vector<std::string> events;
-    appendTraceEvents(run, 10000, &events);
-    ASSERT_GE(events.size(), 2u); // metadata + at least one phase
-    bool saw_meta = false, saw_complete = false;
+    std::vector<double> starts;
+    phaseEvents(report.root, 0.0, 10000, 0,
+                [&](double ts, std::string e) {
+                    starts.push_back(ts);
+                    events.push_back(std::move(e));
+                });
+    ASSERT_GE(events.size(), 2u); // the root and at least one phase
+    EXPECT_EQ(starts.front(), 0.0);
     for (const auto& e : events) {
         json::Value doc;
         ASSERT_TRUE(json::tryParseJson(e, &doc)) << e;
-        const json::Value& ph =
-            doc.require("ph", json::Value::Type::String, "event");
-        saw_meta |= ph.string == "M";
-        saw_complete |= ph.string == "X";
+        EXPECT_EQ(doc.str("ph", "event"), "X");
+        EXPECT_EQ(doc.str("cat", "event"), "phase");
+        const json::Value& args =
+            doc.require("args", json::Value::Type::Object, "event");
+        EXPECT_GE(args.integer("count", "args"), 1u);
+        EXPECT_GE(args.real("exclusiveSeconds", "args"), 0.0);
     }
-    EXPECT_TRUE(saw_meta);
-    EXPECT_TRUE(saw_complete);
 }
 
 } // namespace

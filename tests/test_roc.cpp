@@ -103,7 +103,7 @@ TEST(RocProbeTest, ResolvesGroundTruthOnRealRun)
     // has an LLC-resident hot set, so both outcome classes occur.
     const auto tr = trace::makeSuiteTrace(10, 900000); // scan.b
     trace::MaterializedTraceSource src(tr);
-    sim::runSingleCore(src, sim::makePolicyFactory("LRU"), cfg,
+    sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), cfg,
                        &probe);
     EXPECT_GT(probe.roc(0).deadCount(), 1000u);
     EXPECT_GT(probe.roc(0).liveCount(), 0u);

@@ -86,7 +86,7 @@ TEST(ExperimentRunnerTest, MatchesDirectSingleCoreRun)
     const auto tr = trace::makeSuiteTrace(7, 60000);
     trace::MaterializedTraceSource src(tr);
     const auto direct =
-        sim::runSingleCore(src, sim::makePolicyFactory("MPPPB"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("MPPPB"), {});
     const auto viaRunner = ExperimentRunner::runOne(
         RunRequest::singleCore(trace::TraceSpec::borrowed(tr),
                                PolicySpec::byName("MPPPB")));
@@ -124,7 +124,7 @@ TEST(ExperimentRunnerTest, MultiCoreRequestMatchesDirectRun)
     cfg.warmupInstructions = 40000;
     cfg.measureCycles = 50000;
     const auto direct =
-        sim::runMultiCore(mix, sim::makePolicyFactory("LRU"), cfg);
+        sim::runMultiCore(mix, sim::PolicyRegistry::make("LRU"), cfg);
     const std::array<trace::TraceSpec, 4> specs = {
         trace::TraceSpec::borrowed(t0), trace::TraceSpec::borrowed(t1),
         trace::TraceSpec::borrowed(t2), trace::TraceSpec::borrowed(t3)};

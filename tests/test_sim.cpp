@@ -28,10 +28,10 @@ TEST(PolicyFactoryTest, KnowsAllStandardNames)
          {"LRU", "Random", "SRRIP", "DRRIP", "MDPP", "SDBP",
           "Perceptron", "Hawkeye", "MPPPB", "MPPPB-MC", "MPPPB-1A",
           "MPPPB-1B", "MPPPB-T2"}) {
-        auto pol = makePolicyFactory(name)(g, 1);
+        auto pol = PolicyRegistry::make(name)(g, 1);
         ASSERT_NE(pol, nullptr) << name;
     }
-    EXPECT_THROW(makePolicyFactory("NoSuchPolicy"), FatalError);
+    EXPECT_THROW(PolicyRegistry::make("NoSuchPolicy"), FatalError);
 }
 
 TEST(PolicyFactoryTest, PaperPolicyListShape)
@@ -46,7 +46,7 @@ TEST(SingleCoreTest, ProducesConsistentNumbers)
 {
     const auto tr = trace::makeSuiteTrace(4, 120000); // gups.fit
     trace::MaterializedTraceSource src(tr);
-    const auto r = runSingleCore(src, makePolicyFactory("LRU"), {});
+    const auto r = runSingleCore(src, PolicyRegistry::make("LRU"), {});
     EXPECT_EQ(r.benchmark, tr.name());
     EXPECT_EQ(r.policy, "LRU");
     EXPECT_GT(r.instructions, 0u);
@@ -65,8 +65,8 @@ TEST(SingleCoreTest, DeterministicAcrossRuns)
     const auto tr = trace::makeSuiteTrace(7, 120000);
     // One source serves both runs: the driver rewinds at entry.
     trace::MaterializedTraceSource src(tr);
-    const auto a = runSingleCore(src, makePolicyFactory("MPPPB"), {});
-    const auto b = runSingleCore(src, makePolicyFactory("MPPPB"), {});
+    const auto a = runSingleCore(src, PolicyRegistry::make("MPPPB"), {});
+    const auto b = runSingleCore(src, PolicyRegistry::make("MPPPB"), {});
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.llcDemandMisses, b.llcDemandMisses);
 }
@@ -77,7 +77,7 @@ TEST(SingleCoreTest, MinNeverMissesMoreThanLru)
         const auto tr = trace::makeSuiteTrace(bench, 250000);
         trace::MaterializedTraceSource src(tr);
         const auto lru =
-            runSingleCore(src, makePolicyFactory("LRU"), {});
+            runSingleCore(src, PolicyRegistry::make("LRU"), {});
         const auto min = runSingleCoreMin(src, {});
         EXPECT_LE(min.llcDemandMisses, lru.llcDemandMisses)
             << tr.name();
@@ -91,7 +91,7 @@ TEST(SingleCoreTest, WarmupShrinksMeasuredWindow)
     SingleCoreConfig cfg;
     cfg.warmupFraction = 0.5;
     trace::MaterializedTraceSource src(tr);
-    const auto r = runSingleCore(src, makePolicyFactory("LRU"), cfg);
+    const auto r = runSingleCore(src, PolicyRegistry::make("LRU"), cfg);
     EXPECT_LT(r.instructions, tr.instructions());
     // Warmup stops at a record boundary; allow one pad-run of slack.
     EXPECT_GE(r.instructions, tr.instructions() / 2 - 64);
@@ -108,7 +108,7 @@ TEST(MultiCoreTest, RunsAMixAndReportsPerCoreIpc)
     cfg.measureCycles = 50000;
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto r = runMultiCore({&s0, &s1, &s2, &s3},
-                                makePolicyFactory("LRU"), cfg);
+                                PolicyRegistry::make("LRU"), cfg);
     for (unsigned c = 0; c < 4; ++c) {
         EXPECT_GT(r.ipc[c], 0.0) << c;
         EXPECT_LE(r.ipc[c], 4.0) << c;
@@ -178,7 +178,7 @@ TEST(MultiCoreTest, SharedCacheContentionReducesIpc)
                                                        &t3};
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto r = runMultiCore({&s0, &s1, &s2, &s3},
-                                makePolicyFactory("LRU"), cfg);
+                                PolicyRegistry::make("LRU"), cfg);
     for (unsigned c = 0; c < 4; ++c) {
         trace::MaterializedTraceSource solo_src(*traces[c]);
         const double solo = standaloneIpc(solo_src, cfg);
@@ -208,7 +208,7 @@ TEST(DriverValidationTest, RejectsWarmupFractionOutsideUnitInterval)
         cfg.warmupFraction = bad;
         trace::MaterializedTraceSource src(tr);
         expectConfigError(
-            [&] { runSingleCore(src, makePolicyFactory("LRU"), cfg); });
+            [&] { runSingleCore(src, PolicyRegistry::make("LRU"), cfg); });
         expectConfigError([&] { runSingleCoreMin(src, cfg); });
 
         MultiCoreConfig mcfg;
@@ -218,7 +218,7 @@ TEST(DriverValidationTest, RejectsWarmupFractionOutsideUnitInterval)
         trace::MaterializedTraceSource a(tr), b(tr);
         expectConfigError([&] {
             runMultiCore(std::vector<trace::TraceSource*>{&a, &b},
-                         makePolicyFactory("LRU"), mcfg);
+                         PolicyRegistry::make("LRU"), mcfg);
         });
     }
 }
@@ -232,14 +232,14 @@ TEST(DriverValidationTest, RejectsEmptyMeasureWindow)
     trace::MaterializedTraceSource a(tr), b(tr);
     expectConfigError([&] {
         runMultiCore(std::vector<trace::TraceSource*>{&a, &b},
-                     makePolicyFactory("LRU"), cfg);
+                     PolicyRegistry::make("LRU"), cfg);
     });
     cfg.tenancy.tenants.resize(2);
     cfg.tenancy.tenants[0].ways = 8;
     cfg.tenancy.tenants[1].ways = 8;
     expectConfigError([&] {
         runMultiCore(std::vector<trace::TraceSource*>{&a, &b},
-                     makePolicyFactory("LRU"), cfg);
+                     PolicyRegistry::make("LRU"), cfg);
     });
     expectConfigError([&] { standaloneIpc(a, cfg); });
 }
@@ -251,7 +251,7 @@ TEST(DriverValidationTest, AcceptsTheIntervalBounds)
     SingleCoreConfig cfg;
     cfg.warmupFraction = 0.0;
     trace::MaterializedTraceSource src(tr);
-    const auto r = runSingleCore(src, makePolicyFactory("LRU"), cfg);
+    const auto r = runSingleCore(src, PolicyRegistry::make("LRU"), cfg);
     EXPECT_EQ(r.instructions, tr.instructions());
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the sweep orchestration subsystem: genome encode/decode
  * and canonicalization, strategy determinism, the study's fitness
- * cache (logical and physical), crash-safe kill/resume, and the
- * genetic refinement's convergence against the greedy feature search.
+ * cache (logical and physical), crash-safe kill/resume, the corpus
+ * evaluator every feature set is simulated through, and the genetic
+ * refinement's convergence against a greedy random-search seed.
  *
  * The simulation-backed tests use the differentiating tiny corpus
  * (drift.slow + gups.fit at a 128KB LLC with threshold search
@@ -21,10 +22,12 @@
 #include <string>
 #include <vector>
 
-#include "search/feature_search.hpp"
+#include "core/feature_sets.hpp"
 #include "sweep/study.hpp"
 #include "util/fault_injection.hpp"
 #include "util/json_reader.hpp"
+#include "util/math_util.hpp"
+#include "util/rng.hpp"
 
 namespace mrp::sweep {
 namespace {
@@ -186,6 +189,61 @@ TEST(SearchSpaceTest, GenomeJsonRoundTrips)
     const Genome g = space.randomGenome(rng);
     const auto v = json::parseJson(space.genomeJson(g), "genome");
     EXPECT_EQ(space.genomeFromJson(v), g);
+}
+
+TEST(EvaluatorTest, RequiresWorkloads)
+{
+    CorpusConfig cc;
+    cc.fullInstructions = 120000;
+    EXPECT_THROW(CorpusEvaluator{cc}, FatalError);
+}
+
+TEST(EvaluatorTest, EvaluationIsDeterministic)
+{
+    const auto eval = tinyCorpus({7, 14}, 120000);
+    core::MpppbConfig cfg = core::singleThreadMpppbConfig();
+    cfg.predictor.features = core::featureSetTable1A();
+    EXPECT_EQ(eval->mpppbMpkis(cfg), eval->mpppbMpkis(cfg));
+    EXPECT_EQ(eval->workloadCount(), 2u);
+}
+
+TEST(EvaluatorTest, ReferenceLinesAreOrdered)
+{
+    // Fig. 3's reference lines: MIN can never have more misses than
+    // LRU.
+    const auto eval = tinyCorpus({7, 14}, 120000);
+    EXPECT_LE(mean(eval->policyMpkis("MIN")),
+              mean(eval->policyMpkis("LRU")));
+}
+
+TEST(RandomSearchTest, ProducesRequestedCandidates)
+{
+    const SearchSpace space = tinySpace(4);
+    RandomStrategy strategy(space, 1, 3, 42);
+    auto evaluator = tinyCorpus({7, 14}, 120000);
+    CorpusMpkiObjective objective(evaluator);
+    StudyConfig cfg;
+    cfg.name = "random-draws";
+    Study study(space, strategy, objective, cfg);
+    const StudyResult result = study.run();
+    ASSERT_EQ(result.candidates.size(), 3u);
+    for (const auto& c : result.candidates) {
+        EXPECT_TRUE(c.ok) << c.error;
+        EXPECT_EQ(c.candidate.genome.size(), space.genomeSize());
+        EXPECT_GT(c.mpki, 0.0);
+    }
+}
+
+TEST(RandomSearchTest, SeedControlsTheDraw)
+{
+    const SearchSpace space = tinySpace(4);
+    RandomStrategy a(space, 2, 3, 1);
+    RandomStrategy b(space, 2, 3, 1);
+    RandomStrategy c(space, 2, 3, 2);
+    const auto ga = driveSynthetic(a);
+    ASSERT_EQ(ga.size(), 2u);
+    EXPECT_TRUE(sameCandidates(ga, driveSynthetic(b)));
+    EXPECT_FALSE(sameCandidates(ga, driveSynthetic(c)));
 }
 
 TEST(StrategyTest, GeneticReplaysIdenticallyUnderSameSeed)
@@ -407,36 +465,37 @@ TEST(StudyTest, KillAndResumeReportsAreByteIdentical)
 
 TEST(StudyTest, GeneticRefinementNeverLosesToGreedySeed)
 {
-    // The greedy §5.1 search (random seeding + hill climb), on the
-    // shared corpus evaluator.
-    search::SearchConfig scfg;
-    scfg.featuresPerSet = 4;
-    scfg.workloads = {3, 4};
-    scfg.traceInstructions = 120000;
-    scfg.sim.hierarchy.llcBytes = 128 * 1024;
-    scfg.baseConfig = core::singleThreadMpppbConfig();
-    search::FeatureSetEvaluator eval(scfg);
-
-    const auto seeds = search::randomSearch(eval, scfg, 2, 0xBEEF);
-    const auto start = *std::min_element(
-        seeds.begin(), seeds.end(),
-        [](const search::Candidate& a, const search::Candidate& b) {
-            return a.averageMpki < b.averageMpki;
-        });
-    const auto greedy =
-        search::hillClimb(eval, scfg, start, 2, 0xCAFE);
+    // The greedy §5.1 seed: the best of a few uniformly random
+    // feature sets, scored on the shared corpus evaluator.
+    constexpr unsigned kSlots = 4;
+    const auto eval = tinyCorpus({3, 4}, 120000);
+    const core::MpppbConfig base = core::singleThreadMpppbConfig();
+    Rng rng(0xBEEF);
+    std::vector<core::FeatureSpec> greedy;
+    double greedy_draw_mpki = 0.0;
+    for (int draw = 0; draw < 2; ++draw) {
+        core::MpppbConfig c = base;
+        c.predictor.features.clear();
+        for (unsigned f = 0; f < kSlots; ++f)
+            c.predictor.features.push_back(core::FeatureSpec::random(rng));
+        const double m = mean(eval->mpppbMpkis(c));
+        if (greedy.empty() || m < greedy_draw_mpki) {
+            greedy = c.predictor.features;
+            greedy_draw_mpki = m;
+        }
+    }
 
     // Encode the greedy winner (its features plus the base
     // thresholds) as the genetic seed, via clamp so the raw gene
     // vector canonicalizes.
     SearchSpace space;
-    space.featureSlots = scfg.featuresPerSet;
+    space.featureSlots = kSlots;
     space.searchThresholds = true;
-    space.base = scfg.baseConfig;
+    space.base = base;
     Genome raw(space.genomeSize(), 0);
-    for (std::size_t s = 0; s < greedy.features.size(); ++s) {
+    for (std::size_t s = 0; s < greedy.size(); ++s) {
         int* slot = raw.data() + s * kGenesPerSlot;
-        const auto& f = greedy.features[s];
+        const auto& f = greedy[s];
         slot[kEnabled] = 1;
         slot[kKind] = static_cast<int>(f.kind);
         slot[kAssoc] = static_cast<int>(f.assoc);
@@ -446,20 +505,19 @@ TEST(StudyTest, GeneticRefinementNeverLosesToGreedySeed)
         slot[kXorPc] = f.xorPc ? 1 : 0;
     }
     const std::size_t pos = space.featureSlots * kGenesPerSlot;
-    raw[pos + 0] = scfg.baseConfig.thresholds.tauBypass;
-    raw[pos + 1] = scfg.baseConfig.thresholds.tau[0];
-    raw[pos + 2] = scfg.baseConfig.thresholds.tau[1];
-    raw[pos + 3] = scfg.baseConfig.thresholds.tau[2];
-    raw[pos + 4] = scfg.baseConfig.thresholds.tauNoPromote;
+    raw[pos + 0] = base.thresholds.tauBypass;
+    raw[pos + 1] = base.thresholds.tau[0];
+    raw[pos + 2] = base.thresholds.tau[1];
+    raw[pos + 3] = base.thresholds.tau[2];
+    raw[pos + 4] = base.thresholds.tauNoPromote;
     const Genome seed = space.clamp(raw);
 
     // The bar: the canonicalized greedy set's own corpus MPKI (what
     // the seed candidate evaluates to in generation 0).
-    const double greedy_mpki =
-        eval.averageMpki(space.decode(seed).predictor.features);
+    const double greedy_mpki = mean(eval->mpppbMpkis(space.decode(seed)));
 
     CorpusMpkiObjective objective(
-        eval.corpus(), CorpusMpkiObjective::Aggregate::Mean);
+        eval, CorpusMpkiObjective::Aggregate::Mean);
     GeneticStrategy::Config gc;
     gc.population = 8;
     gc.generations = 5;

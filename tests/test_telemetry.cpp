@@ -17,6 +17,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/session.hpp"
 #include "util/logging.hpp"
+#include "util/trace_event.hpp"
 
 namespace mrp::telemetry {
 namespace {
@@ -230,7 +231,8 @@ TEST(ExportTest, MetricsCsvRowsFlattenHistograms)
 TEST(ExportTest, TraceEventsMatchGoldenFile)
 {
     const auto t = sampleTelemetry();
-    const std::string got = traceEventsJson(*t, "proc");
+    const std::string got =
+        trace_event::document(traceEvents(*t, 0, "proc"));
 
     const auto golden_path =
         std::filesystem::path(__FILE__).parent_path() / "golden" /

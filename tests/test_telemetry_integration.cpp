@@ -44,14 +44,14 @@ TEST(TelemetryIntegrationTest, DisabledRunCarriesNoTelemetry)
     const auto tr = trace::makeSuiteTrace(4, 120000); // gups.fit
     trace::MaterializedTraceSource src(tr);
     const auto r =
-        sim::runSingleCore(src, sim::makePolicyFactory("MPPPB"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("MPPPB"), {});
     EXPECT_EQ(r.telemetry, nullptr);
 }
 
 TEST(TelemetryIntegrationTest, TelemetryDoesNotPerturbTheRun)
 {
     const auto tr = trace::makeSuiteTrace(4, 120000);
-    const auto factory = sim::makePolicyFactory("MPPPB");
+    const auto factory = sim::PolicyRegistry::make("MPPPB");
     // One source serves both runs: the driver rewinds at entry.
     trace::MaterializedTraceSource src(tr);
     const auto plain = sim::runSingleCore(src, factory, {});
@@ -71,7 +71,7 @@ TEST(TelemetryIntegrationTest, MetricsReconcileWithLevelStats)
     const auto tr = trace::makeSuiteTrace(0, 150000); // scan.a
     trace::MaterializedTraceSource src(tr);
     const auto r = sim::runSingleCore(
-        src, sim::makePolicyFactory("MPPPB"), telemetryConfig());
+        src, sim::PolicyRegistry::make("MPPPB"), telemetryConfig());
     ASSERT_NE(r.telemetry, nullptr);
     const auto& t = *r.telemetry;
 
@@ -130,7 +130,7 @@ TEST(TelemetryIntegrationTest, MultiCoreRunCarriesTelemetry)
     const auto t3 = trace::makeSuiteTrace(25, 200000);
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto r = sim::runMultiCore(
-        {&s0, &s1, &s2, &s3}, sim::makePolicyFactory("MPPPB-MC"), cfg);
+        {&s0, &s1, &s2, &s3}, sim::PolicyRegistry::make("MPPPB-MC"), cfg);
     ASSERT_NE(r.telemetry, nullptr);
     const auto& t = *r.telemetry;
     EXPECT_EQ(metric(t, "llc.demand_misses").counter,
@@ -188,7 +188,7 @@ TEST(TelemetryIntegrationTest, ObserverAndTelemetryAreExclusive)
     const auto tr = trace::makeSuiteTrace(4, 120000);
     trace::MaterializedTraceSource src(tr);
     cache::LlcObserver obs;
-    EXPECT_THROW(sim::runSingleCore(src, sim::makePolicyFactory("LRU"),
+    EXPECT_THROW(sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"),
                                     telemetryConfig(), &obs),
                  FatalError);
 }

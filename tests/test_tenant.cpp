@@ -193,11 +193,11 @@ TEST(TenantSimTest, FixedPartitionIsolatesTenantFromCoRunner)
     trace::MaterializedTraceSource v1(victim), a1(noisy);
     const auto ra = sim::runMultiCore(
         std::vector<trace::TraceSource*>{&v1, &a1},
-        sim::makePolicyFactory("LRU"), cfg);
+        sim::PolicyRegistry::make("LRU"), cfg);
     trace::MaterializedTraceSource v2(victim), a2(quiet);
     const auto rb = sim::runMultiCore(
         std::vector<trace::TraceSource*>{&v2, &a2},
-        sim::makePolicyFactory("LRU"), cfg);
+        sim::PolicyRegistry::make("LRU"), cfg);
 
     ASSERT_EQ(ra.tenants.size(), 2u);
     ASSERT_EQ(rb.tenants.size(), 2u);
@@ -219,7 +219,7 @@ TEST(TenantSimTest, SameStreamTenantsWithPrivateStateMatchExactly)
     trace::MaterializedTraceSource s0(tr), s1(tr);
     const auto r = sim::runMultiCore(
         std::vector<trace::TraceSource*>{&s0, &s1},
-        sim::makePolicyFactory("MPPPB-MC"), smallTenantConfig(8, 8));
+        sim::PolicyRegistry::make("MPPPB-MC"), smallTenantConfig(8, 8));
     ASSERT_EQ(r.tenants.size(), 2u);
     EXPECT_EQ(r.tenants[0].demandMisses, r.tenants[1].demandMisses);
     EXPECT_EQ(r.tenants[0].instructions, r.tenants[1].instructions);
@@ -242,11 +242,11 @@ TEST(TenantSimTest, UnpartitionedMixSeesInterference)
     trace::MaterializedTraceSource v1(victim), a1(noisy);
     const auto ra = sim::runMultiCore(
         std::vector<trace::TraceSource*>{&v1, &a1},
-        sim::makePolicyFactory("LRU"), cfg);
+        sim::PolicyRegistry::make("LRU"), cfg);
     trace::MaterializedTraceSource v2(victim), a2(quiet);
     const auto rb = sim::runMultiCore(
         std::vector<trace::TraceSource*>{&v2, &a2},
-        sim::makePolicyFactory("LRU"), cfg);
+        sim::PolicyRegistry::make("LRU"), cfg);
     EXPECT_TRUE(ra.tenants.empty());
     EXPECT_NE(ra.llcDemandMisses, rb.llcDemandMisses);
 }
@@ -265,7 +265,7 @@ TEST(TenantSimTest, QosScheduleIsDeterministicAcrossReruns)
         trace::MaterializedTraceSource a(hungry), b(meek);
         return sim::runMultiCore(
             std::vector<trace::TraceSource*>{&a, &b},
-            sim::makePolicyFactory("LRU"), cfg);
+            sim::PolicyRegistry::make("LRU"), cfg);
     };
     const auto r1 = once();
     const auto r2 = once();
@@ -317,7 +317,7 @@ TEST(EhcTest, RegisteredInPolicyRegistryAndRuns)
     sim::SingleCoreConfig cfg;
     cfg.hierarchy.llcBytes = 256 * 1024;
     const auto r =
-        sim::runSingleCore(src, sim::makePolicyFactory("EHC"), cfg);
+        sim::runSingleCore(src, sim::PolicyRegistry::make("EHC"), cfg);
     EXPECT_EQ(r.policy, "EHC");
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_GT(r.llcDemandAccesses, 0u);

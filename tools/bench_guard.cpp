@@ -109,11 +109,5 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "bench_guard: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("bench_guard", run, argc, argv);
 }

@@ -228,11 +228,5 @@ run(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "fleet_trace_check: %s [%s]\n", e.what(),
-                     errorCodeName(e.code()));
-        return 2;
-    }
+    return guardedMain("fleet_trace_check", run, argc, argv);
 }
