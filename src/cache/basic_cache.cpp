@@ -80,6 +80,7 @@ BasicCache::fill(Addr addr, bool dirty)
             ++stats_.dirtyEvictions;
     }
 
+    ++stats_.fills;
     tags_[slot] = geom_.tag(addr);
     dirty_[slot] = dirty ? 1 : 0;
     lastUse_[slot] = ++useClock_;

@@ -148,11 +148,12 @@ void
 Hierarchy::attachTelemetry(telemetry::MetricsRegistry& registry)
 {
     llc_.attachTelemetry(registry);
-    registry.gaugeFn("mem.dram_reads", [this] {
-        return static_cast<double>(dramReads_);
+    // Same window as the llc.* counters: traffic from now on.
+    registry.gaugeFn("mem.dram_reads", [this, base = dramReads_] {
+        return static_cast<double>(dramReads_ - base);
     });
-    registry.gaugeFn("mem.dram_writes", [this] {
-        return static_cast<double>(dramWrites_);
+    registry.gaugeFn("mem.dram_writes", [this, base = dramWrites_] {
+        return static_cast<double>(dramWrites_ - base);
     });
     if (!cfg_.prefetchEnabled)
         return;
@@ -193,18 +194,6 @@ Hierarchy::attachTelemetry(telemetry::MetricsRegistry& registry)
                          : static_cast<double>(sum(&SP::useful)) /
                                static_cast<double>(base);
     });
-}
-
-void
-Hierarchy::resetStats()
-{
-    for (auto& c : l1_)
-        c.stats().reset();
-    for (auto& c : l2_)
-        c.stats().reset();
-    llc_.resetStats();
-    dramReads_ = 0;
-    dramWrites_ = 0;
 }
 
 } // namespace mrp::cache

@@ -80,14 +80,13 @@ class Hierarchy
     /**
      * Enable telemetry for the whole hierarchy: LLC event counters and
      * policy metrics, prefetcher accuracy/coverage probes, and DRAM
-     * traffic gauges. Call at the start of the measurement window; the
-     * registered callbacks reference this hierarchy, so it must
-     * outlive every snapshot taken from @p registry.
+     * traffic gauges. Call at the start of the measurement window:
+     * the llc.*, mem.* and prefetch.* metrics count from this call on
+     * (each probe subtracts the count it saw here). The registered
+     * callbacks reference this hierarchy, so it must outlive every
+     * snapshot taken from @p registry.
      */
     void attachTelemetry(telemetry::MetricsRegistry& registry);
-
-    /** Zero every statistic without disturbing cache contents. */
-    void resetStats();
 
   private:
     void writebackToL2(CoreId core, Addr block_address);

@@ -1,5 +1,7 @@
 #include "cache/policy_cache.hpp"
 
+#include <utility>
+
 #include "prof/profiler.hpp"
 #include "util/logging.hpp"
 
@@ -31,17 +33,24 @@ PolicyCache::findWay(std::uint32_t set, std::uint64_t tag,
 void
 PolicyCache::attachTelemetry(telemetry::MetricsRegistry& registry)
 {
-    tel_ = std::make_unique<Telemetry>();
-    tel_->demandAccesses = &registry.counter("llc.demand_accesses");
-    tel_->demandHits = &registry.counter("llc.demand_hits");
-    tel_->demandMisses = &registry.counter("llc.demand_misses");
-    tel_->prefetchAccesses = &registry.counter("llc.prefetch_accesses");
-    tel_->writebackAccesses =
-        &registry.counter("llc.writeback_accesses");
-    tel_->bypasses = &registry.counter("llc.bypasses");
-    tel_->fills = &registry.counter("llc.fills");
-    tel_->evictions = &registry.counter("llc.evictions");
-    tel_->dirtyEvictions = &registry.counter("llc.dirty_evictions");
+    using S = stats::LevelStats;
+    static constexpr std::pair<const char*, std::uint64_t S::*>
+        kCounters[] = {
+            {"llc.demand_accesses", &S::demandAccesses},
+            {"llc.demand_hits", &S::demandHits},
+            {"llc.demand_misses", &S::demandMisses},
+            {"llc.prefetch_accesses", &S::prefetchAccesses},
+            {"llc.writeback_accesses", &S::writebackAccesses},
+            {"llc.bypasses", &S::bypasses},
+            {"llc.fills", &S::fills},
+            {"llc.evictions", &S::evictions},
+            {"llc.dirty_evictions", &S::dirtyEvictions},
+        };
+    const S base = stats_;
+    for (const auto& [name, field] : kCounters)
+        registry.counterFn(name, [this, base, field] {
+            return stats_.*field - base.*field;
+        });
     policy_->attachTelemetry(registry);
 }
 
@@ -65,20 +74,6 @@ PolicyCache::access(const AccessInfo& info)
         ++stats_.writebackAccesses;
         break;
     }
-    if (tel_) {
-        switch (info.type) {
-          case AccessType::Load:
-          case AccessType::Store:
-            tel_->demandAccesses->add();
-            break;
-          case AccessType::Prefetch:
-            tel_->prefetchAccesses->add();
-            break;
-          case AccessType::Writeback:
-            tel_->writebackAccesses->add();
-            break;
-        }
-    }
 
     LlcResult result;
     const int hit_way = findWay(set, tag, owner);
@@ -99,9 +94,6 @@ PolicyCache::access(const AccessInfo& info)
             ++stats_.writebackHits;
             break;
         }
-        if (tel_ && (info.type == AccessType::Load ||
-                     info.type == AccessType::Store))
-            tel_->demandHits->add();
         policy_->onHit(info, set, static_cast<std::uint32_t>(hit_way));
         if (observer_)
             observer_->onAccess(info, true, set, hit_way);
@@ -123,9 +115,6 @@ PolicyCache::access(const AccessInfo& info)
         ++stats_.writebackMisses;
         break;
     }
-    if (tel_ && (info.type == AccessType::Load ||
-                 info.type == AccessType::Store))
-        tel_->demandMisses->add();
     policy_->onMiss(info, set);
     if (observer_)
         observer_->onAccess(info, false, set, -1);
@@ -150,8 +139,6 @@ PolicyCache::access(const AccessInfo& info)
     if (fill_way == geom_.ways()) {
         if (policy_->shouldBypass(info, set)) {
             ++stats_.bypasses;
-            if (tel_)
-                tel_->bypasses->add();
             result.bypassed = true;
             if (observer_)
                 observer_->onBypass(info, set);
@@ -169,11 +156,6 @@ PolicyCache::access(const AccessInfo& info)
         ++stats_.evictions;
         if (result.victim.dirty)
             ++stats_.dirtyEvictions;
-        if (tel_) {
-            tel_->evictions->add();
-            if (result.victim.dirty)
-                tel_->dirtyEvictions->add();
-        }
         policy_->onEvict(set, fill_way);
         if (observer_)
             observer_->onEvict(set, fill_way, result.victim.blockAddress);
@@ -182,8 +164,7 @@ PolicyCache::access(const AccessInfo& info)
     const std::size_t fill = slot(set, fill_way);
     tags_[fill] = tag;
     state_[fill] = {owner, info.type == AccessType::Writeback};
-    if (tel_)
-        tel_->fills->add();
+    ++stats_.fills;
     policy_->onFill(info, set, fill_way);
     if (observer_)
         observer_->onFill(info, set, fill_way);
@@ -218,14 +199,6 @@ PolicyCache::demandMissesOf(CoreId core) const
     fatalIf(core >= demandMissesPerCore_.size(),
             "core id out of range in demandMissesOf");
     return demandMissesPerCore_[core];
-}
-
-void
-PolicyCache::resetStats()
-{
-    stats_.reset();
-    for (auto& c : demandMissesPerCore_)
-        c = 0;
 }
 
 } // namespace mrp::cache

@@ -43,9 +43,11 @@ class PolicyCache
     void setObserver(LlcObserver* obs) { observer_ = obs; }
 
     /**
-     * Register "llc.*" event counters with @p registry and forward to
-     * the policy's attachTelemetry. Until this is called the hot path
-     * pays a single null check.
+     * Open a telemetry window: register the "llc.*" counters with
+     * @p registry as probes that read stats() minus its value now,
+     * and forward to the policy's attachTelemetry. The access path is
+     * the same with or without telemetry. The probes reference this
+     * cache, so it must outlive every snapshot of @p registry.
      */
     void attachTelemetry(telemetry::MetricsRegistry& registry);
 
@@ -67,9 +69,6 @@ class PolicyCache
     /** Valid blocks currently owned by tenant @p owner (O(cache)). */
     std::uint64_t ownerBlockCount(std::uint32_t owner) const;
 
-    /** Zero all statistics (end of warmup). */
-    void resetStats();
-
   private:
     /** Tag of an invalid way; block tags are below 2^58. */
     static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
@@ -79,20 +78,6 @@ class PolicyCache
     {
         std::uint32_t owner = 0; //!< tenant id; 0 when unpartitioned
         bool dirty = false;
-    };
-
-    /** Counters mirrored into the metrics registry when attached. */
-    struct Telemetry
-    {
-        telemetry::Counter* demandAccesses = nullptr;
-        telemetry::Counter* demandHits = nullptr;
-        telemetry::Counter* demandMisses = nullptr;
-        telemetry::Counter* prefetchAccesses = nullptr;
-        telemetry::Counter* writebackAccesses = nullptr;
-        telemetry::Counter* bypasses = nullptr;
-        telemetry::Counter* fills = nullptr;
-        telemetry::Counter* evictions = nullptr;
-        telemetry::Counter* dirtyEvictions = nullptr;
     };
 
     std::size_t slot(std::uint32_t set, std::uint32_t way) const
@@ -111,7 +96,6 @@ class PolicyCache
     std::vector<WayState> state_;
     stats::LevelStats stats_;
     std::vector<std::uint64_t> demandMissesPerCore_;
-    std::unique_ptr<Telemetry> tel_; //!< null until attachTelemetry
 };
 
 } // namespace mrp::cache

@@ -1,11 +1,8 @@
 #include "mrc/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <exception>
-#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -16,6 +13,7 @@
 #include "stats/reuse_histogram.hpp"
 #include "util/bitfield.hpp"
 #include "util/logging.hpp"
+#include "util/parallel_for.hpp"
 
 namespace mrp::mrc {
 
@@ -259,42 +257,10 @@ profileCorpus(const std::vector<trace::TraceSpec>& corpus,
     std::vector<MrcProfile> out(corpus.size());
     if (jobs == 0)
         jobs = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers =
-        std::min<std::size_t>(jobs, corpus.size());
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error; //!< first failure, rethrown unchanged
-    std::mutex errMutex;
-
-    const auto work = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= corpus.size() || failed.load())
-                return;
-            try {
-                auto src = corpus[i].open(opts);
-                out[i] = buildProfile(*src, worker_cfg);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(errMutex);
-                if (!failed.exchange(true))
-                    error = std::current_exception();
-            }
-        }
-    };
-
-    if (workers <= 1) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w)
-            pool.emplace_back(work);
-        for (auto& t : pool)
-            t.join();
-    }
-    if (error)
-        std::rethrow_exception(error);
+    parallelFor(corpus.size(), jobs, [&](std::size_t i) {
+        auto src = corpus[i].open(opts);
+        out[i] = buildProfile(*src, worker_cfg);
+    });
     return out;
 }
 

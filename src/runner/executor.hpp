@@ -3,7 +3,7 @@
  * Executor: the one-method seam between "what to run" and "how it
  * runs". A batch of RunRequests goes in; a RunSet keyed by request
  * index comes out, byte-identical regardless of the executor behind
- * the seam — the in-process work-stealing thread pool
+ * the seam — the in-process thread pool
  * (runner::ExperimentRunner) or the multi-process lease broker
  * (queue::Broker). Study and the CLIs program against this interface
  * so a sweep can move from threads to processes without touching its

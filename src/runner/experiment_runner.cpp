@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -17,54 +16,11 @@
 #include "util/fault_injection.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
+#include "util/parallel_for.hpp"
 
 namespace mrp::runner {
 
 namespace {
-
-/**
- * One worker's queue of request indices. Owners pop from the front,
- * thieves steal from the back, so a stolen task is the one the owner
- * would have reached last — the classic work-stealing discipline,
- * which keeps steals rare when the initial round-robin split is
- * already balanced.
- */
-class StealQueue
-{
-  public:
-    void
-    push(std::size_t idx)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        tasks_.push_back(idx);
-    }
-
-    std::optional<std::size_t>
-    popFront()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (tasks_.empty())
-            return std::nullopt;
-        const std::size_t idx = tasks_.front();
-        tasks_.pop_front();
-        return idx;
-    }
-
-    std::optional<std::size_t>
-    stealBack()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (tasks_.empty())
-            return std::nullopt;
-        const std::size_t idx = tasks_.back();
-        tasks_.pop_back();
-        return idx;
-    }
-
-  private:
-    std::mutex mutex_;
-    std::deque<std::size_t> tasks_;
-};
 
 /**
  * Serialized emitter of live progress events (see the RunnerOptions
@@ -201,8 +157,7 @@ class ProgressSink
         char buf[64];
         std::snprintf(buf, sizeof(buf), " done in %.1fs",
                       wall_seconds);
-        emitHuman("[" + std::to_string(completed_ + failed_) + "/" +
-                  std::to_string(total_) + "]" + buf +
+        emitHuman(position() + buf +
                   (failed_ > 0
                        ? ", " + std::to_string(failed_) + " failed"
                        : ""));
@@ -214,8 +169,14 @@ class ProgressSink
     std::string
     position() const
     {
-        return "[" + std::to_string(completed_ + failed_) + "/" +
-               std::to_string(total_) + "]";
+        // Appended, not `"[" + std::string&&`: GCC 12 -O3 reports a
+        // false -Werror=restrict on that form here.
+        std::string out = "[";
+        out += std::to_string(completed_ + failed_);
+        out += '/';
+        out += std::to_string(total_);
+        out += ']';
+        return out;
     }
 
     std::string
@@ -625,60 +586,30 @@ ExperimentRunner::run(const std::vector<RunRequest>& batch,
         return runOneImpl(batch[idx], idx, options, sink.get());
     };
 
-    const auto finish = [&]() {
-        set.wallSeconds = batch_watch.seconds();
-        // Single-threaded again here, so plain counter adds are safe.
-        if (options.metrics) {
-            std::uint64_t done = 0, failed = 0, retries = 0;
-            for (const std::size_t i : pending) {
-                const RunResult& r = set.results[i];
-                r.ok() ? ++done : ++failed;
-                if (r.attempts > 1)
-                    retries += r.attempts - 1;
-            }
-            options.metrics->counter("runner.completed").add(done);
-            options.metrics->counter("runner.failed").add(failed);
-            options.metrics->counter("runner.retries").add(retries);
-            options.metrics->counter("runner.skipped")
-                .add(batch.size() - pending.size());
-        }
-        if (sink)
-            sink->batchEnd(set.wallSeconds);
-        fatalIf(!journal_err.empty(), journal_err_code,
-                "checkpoint journaling failed: " + journal_err);
-    };
+    parallelFor(pending.size(), workers, [&](std::size_t k) {
+        complete(pending[k], execute(pending[k]));
+    });
 
-    if (workers <= 1 || pending.size() <= 1) {
-        for (const std::size_t i : pending)
-            complete(i, execute(i));
-        finish();
-        return set;
+    set.wallSeconds = batch_watch.seconds();
+    // Single-threaded again here, so plain counter adds are safe.
+    if (options.metrics) {
+        std::uint64_t done = 0, failed = 0, retries = 0;
+        for (const std::size_t i : pending) {
+            const RunResult& r = set.results[i];
+            r.ok() ? ++done : ++failed;
+            if (r.attempts > 1)
+                retries += r.attempts - 1;
+        }
+        options.metrics->counter("runner.completed").add(done);
+        options.metrics->counter("runner.failed").add(failed);
+        options.metrics->counter("runner.retries").add(retries);
+        options.metrics->counter("runner.skipped")
+            .add(batch.size() - pending.size());
     }
-
-    // Round-robin split across per-worker queues; idle workers steal.
-    std::vector<StealQueue> queues(workers);
-    for (std::size_t k = 0; k < pending.size(); ++k)
-        queues[k % workers].push(pending[k]);
-
-    const auto worker = [&](unsigned me) {
-        for (;;) {
-            std::optional<std::size_t> task = queues[me].popFront();
-            for (unsigned off = 1; !task && off < workers; ++off)
-                task = queues[(me + off) % workers].stealBack();
-            if (!task)
-                return;
-            complete(*task, execute(*task));
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        threads.emplace_back(worker, w);
-    for (auto& t : threads)
-        t.join();
-
-    finish();
+    if (sink)
+        sink->batchEnd(set.wallSeconds);
+    fatalIf(!journal_err.empty(), journal_err_code,
+            "checkpoint journaling failed: " + journal_err);
     return set;
 }
 

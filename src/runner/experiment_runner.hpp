@@ -1,11 +1,12 @@
 /**
  * @file
- * Work-stealing parallel executor for experiment batches.
+ * Parallel executor for experiment batches.
  *
  * Every (trace, policy) cell of a paper figure is independent: each
  * run builds its own hierarchy, policy, and core models, and traces
  * are immutable, so cells parallelize with no shared mutable state.
- * The runner executes a batch of RunRequests across worker threads and
+ * The runner executes a batch of RunRequests across worker threads
+ * (util/parallel_for.hpp: each idle worker takes the next request) and
  * returns results keyed by request index, so the outcome is
  * bit-identical for any worker count (only the wall-clock metrics
  * differ).

@@ -66,7 +66,7 @@ struct Measured
 {
     MultiCoreResult r;
     Cycle cycles = 0;      //!< core 0's measured window
-    stats::LevelStats llc; //!< since the stats reset, if one was done
+    stats::LevelStats llc; //!< since the last core finished warming
 };
 
 /**
@@ -223,20 +223,17 @@ simulate(const Plan& p)
             },
             base, [] {});
     }
-    // Cores that warmed on the same step share one stats reset; cores
-    // warming on per-core shares keep the baselines taken as each one
-    // got there.
+    // The window opens here: every count is read as its growth since
+    // a baseline taken now (the per-core marks are taken as each core
+    // got here, which is this same step when the cores warm together).
+    // Nothing is reset, so cache and predictor state carry over.
     const bool together = n == 1 || p.warmupShared;
-    if (together) {
-        hier.resetStats();
-        for (unsigned c = 0; c < n; ++c)
-            base[c] = mark(c);
-    }
+    const stats::LevelStats llc_base = hier.llc().stats();
 
-    // Attach telemetry at the start of the measurement window so every
-    // metric covers exactly what LevelStats covers. The tenant.*
-    // gauges live here because only the driver sees both the
-    // partition map and the cache occupancy.
+    // Telemetry attached now takes the same baseline, so the llc.*
+    // counters equal the window's LevelStats. The tenant.* gauges live
+    // here because only the driver sees both the partition map and the
+    // cache occupancy.
     std::unique_ptr<telemetry::Session> session;
     std::unique_ptr<TelemetryObserver> tobs;
     telemetry::Counter* resize_counter = nullptr;
@@ -350,10 +347,10 @@ simulate(const Plan& p)
                                  p.tenancy->tenants[c].sloMpki});
     }
     m.cycles = end[0].cycle - base[0].cycle;
-    m.llc = llc;
-    // After a shared reset every LLC miss since then counts, also
+    m.llc = llc - llc_base;
+    // With a shared window start every LLC miss since then counts, also
     // those after a core's own window closed.
-    r.llcDemandMisses = together ? llc.demandMisses : window_misses;
+    r.llcDemandMisses = together ? m.llc.demandMisses : window_misses;
     r.mpki = perKilo(r.llcDemandMisses, measured_total);
     if (qos)
         r.qosSchedule = qos->resizes();

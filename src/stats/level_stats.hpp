@@ -14,6 +14,10 @@ namespace mrp::stats {
  * Counters kept by each cache level. "Demand" accesses are the loads
  * and stores issued by the core; prefetches and writebacks are counted
  * separately so that MPKI is computed over demand misses only.
+ *
+ * The counters only grow. A measurement window is opened by copying
+ * them (the baseline) and read as `now - baseline`; nothing ever
+ * zeroes them, so every reader of the same level sees one count.
  */
 struct LevelStats
 {
@@ -27,11 +31,30 @@ struct LevelStats
     std::uint64_t writebackHits = 0;
     std::uint64_t writebackMisses = 0;
     std::uint64_t bypasses = 0;
+    std::uint64_t fills = 0; //!< blocks installed
     std::uint64_t evictions = 0;
     std::uint64_t dirtyEvictions = 0;
 
-    /** Zero all counters (used at the end of the warmup phase). */
-    void reset() { *this = LevelStats{}; }
+    /** The counts of the window that opened at @p base. */
+    LevelStats
+    operator-(const LevelStats& base) const
+    {
+        LevelStats d;
+        d.demandAccesses = demandAccesses - base.demandAccesses;
+        d.demandHits = demandHits - base.demandHits;
+        d.demandMisses = demandMisses - base.demandMisses;
+        d.prefetchAccesses = prefetchAccesses - base.prefetchAccesses;
+        d.prefetchHits = prefetchHits - base.prefetchHits;
+        d.prefetchMisses = prefetchMisses - base.prefetchMisses;
+        d.writebackAccesses = writebackAccesses - base.writebackAccesses;
+        d.writebackHits = writebackHits - base.writebackHits;
+        d.writebackMisses = writebackMisses - base.writebackMisses;
+        d.bypasses = bypasses - base.bypasses;
+        d.fills = fills - base.fills;
+        d.evictions = evictions - base.evictions;
+        d.dirtyEvictions = dirtyEvictions - base.dirtyEvictions;
+        return d;
+    }
 
     std::uint64_t
     totalAccesses() const

@@ -41,7 +41,7 @@ MetricsRegistry::counter(const std::string& name)
 {
     Entry& e = entries_[name];
     if (!e.counter) {
-        fatalIf(e.gauge || e.histogram || e.fn, ErrorCode::Config,
+        fatalIf(e.registered(), ErrorCode::Config,
                 "metric registered with two kinds: " + name);
         e.kind = MetricSnapshot::Kind::Counter;
         e.counter = std::make_unique<Counter>();
@@ -54,7 +54,7 @@ MetricsRegistry::gauge(const std::string& name)
 {
     Entry& e = entries_[name];
     if (!e.gauge) {
-        fatalIf(e.counter || e.histogram || e.fn, ErrorCode::Config,
+        fatalIf(e.registered(), ErrorCode::Config,
                 "metric registered with two kinds: " + name);
         e.kind = MetricSnapshot::Kind::Gauge;
         e.gauge = std::make_unique<Gauge>();
@@ -68,7 +68,7 @@ MetricsRegistry::histogram(const std::string& name,
 {
     Entry& e = entries_[name];
     if (!e.histogram) {
-        fatalIf(e.counter || e.gauge || e.fn, ErrorCode::Config,
+        fatalIf(e.registered(), ErrorCode::Config,
                 "metric registered with two kinds: " + name);
         e.kind = MetricSnapshot::Kind::Histogram;
         e.histogram = std::make_unique<Histogram>(std::move(bounds));
@@ -77,16 +77,27 @@ MetricsRegistry::histogram(const std::string& name,
 }
 
 void
+MetricsRegistry::counterFn(const std::string& name,
+                           std::function<std::uint64_t()> fn)
+{
+    fatalIf(!fn, ErrorCode::Config, "null counter probe: " + name);
+    Entry& e = entries_[name];
+    fatalIf(e.registered(), ErrorCode::Config,
+            "metric registered twice: " + name);
+    e.kind = MetricSnapshot::Kind::Counter;
+    e.counterProbe = std::move(fn);
+}
+
+void
 MetricsRegistry::gaugeFn(const std::string& name,
                          std::function<double()> fn)
 {
     fatalIf(!fn, ErrorCode::Config, "null gauge probe: " + name);
     Entry& e = entries_[name];
-    fatalIf(e.counter || e.gauge || e.histogram || e.fn,
-            ErrorCode::Config,
-            "metric registered with two kinds: " + name);
+    fatalIf(e.registered(), ErrorCode::Config,
+            "metric registered twice: " + name);
     e.kind = MetricSnapshot::Kind::Gauge;
-    e.fn = std::move(fn);
+    e.gaugeProbe = std::move(fn);
 }
 
 Snapshot
@@ -100,10 +111,11 @@ MetricsRegistry::snapshot() const
         m.kind = e.kind;
         switch (e.kind) {
           case MetricSnapshot::Kind::Counter:
-            m.counter = e.counter->value();
+            m.counter =
+                e.counterProbe ? e.counterProbe() : e.counter->value();
             break;
           case MetricSnapshot::Kind::Gauge:
-            m.gauge = e.fn ? e.fn() : e.gauge->value();
+            m.gauge = e.gaugeProbe ? e.gaugeProbe() : e.gauge->value();
             break;
           case MetricSnapshot::Kind::Histogram: {
             const Histogram& h = *e.histogram;

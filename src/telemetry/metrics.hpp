@@ -6,7 +6,9 @@
  * Design constraints (in priority order):
  *  - Near-zero cost when unused: instrumented components hold plain
  *    pointers that are null until a registry is attached, so the
- *    disabled hot path is one branch on a pointer.
+ *    disabled hot path is one branch on a pointer. A count the
+ *    component keeps anyway is exposed through a counterFn probe
+ *    instead, which costs the hot path nothing.
  *  - Atomic-free hot path: a registry belongs to exactly one
  *    simulation run, and every run executes on one thread (the
  *    parallel runner parallelizes *across* runs), so increments are
@@ -133,9 +135,10 @@ struct Snapshot
  * reference that stays valid for the registry's lifetime; callers
  * cache it and never touch the registry again on the hot path.
  * Registering the same name twice returns the existing metric (the
- * kinds must agree); gaugeFn() instead registers a probe evaluated
- * lazily at every snapshot — the way to expose state that lives in
- * the instrumented component (weight magnitudes, accuracy ratios).
+ * kinds must agree); counterFn() and gaugeFn() instead register a
+ * probe evaluated lazily at every snapshot — the way to expose state
+ * that lives in the instrumented component (its own event counts,
+ * weight magnitudes, accuracy ratios) without counting it twice.
  */
 class MetricsRegistry
 {
@@ -144,6 +147,8 @@ class MetricsRegistry
     Gauge& gauge(const std::string& name);
     Histogram& histogram(const std::string& name,
                          std::vector<std::int64_t> bounds);
+    void counterFn(const std::string& name,
+                   std::function<std::uint64_t()> fn);
     void gaugeFn(const std::string& name, std::function<double()> fn);
 
     Snapshot snapshot() const;
@@ -155,7 +160,15 @@ class MetricsRegistry
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
-        std::function<double()> fn; //!< gauge probe (may be empty)
+        std::function<std::uint64_t()> counterProbe; //!< may be empty
+        std::function<double()> gaugeProbe;         //!< may be empty
+
+        bool
+        registered() const
+        {
+            return counter || gauge || histogram || counterProbe ||
+                   gaugeProbe;
+        }
     };
 
     std::map<std::string, Entry> entries_; //!< name-sorted

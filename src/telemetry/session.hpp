@@ -5,10 +5,11 @@
  *
  * A Session is created by a simulation driver when the run's
  * TelemetryConfig enables telemetry, attached to the instrumented
- * components after warmup (so every metric covers exactly the
- * measurement window and reconciles with LevelStats), ticked once per
- * LLC access, and finished into an immutable RunTelemetry that
- * travels with the run's result.
+ * components when the measurement window opens (counts the components
+ * keep themselves are read minus their attach-time value, so they
+ * reconcile with the window's LevelStats), ticked once per LLC
+ * access, and finished into an immutable RunTelemetry that travels
+ * with the run's result.
  */
 
 #ifndef MRP_TELEMETRY_SESSION_HPP

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "cache/basic_cache.hpp"
@@ -277,9 +278,63 @@ TEST(PolicyCacheTest, StatsByType)
     EXPECT_EQ(s.prefetchMisses, 1u);
     EXPECT_EQ(s.writebackMisses, 1u);
     EXPECT_EQ(s.totalAccesses(), 4u);
-    c.resetStats();
-    EXPECT_EQ(c.stats().totalAccesses(), 0u);
-    EXPECT_EQ(c.demandMissesOf(0), 0u);
+    EXPECT_EQ(s.fills, 3u);
+}
+
+/** LRU that bypasses prefetches into a full set. */
+class BypassPrefetchLru : public policy::LruPolicy
+{
+  public:
+    using policy::LruPolicy::LruPolicy;
+    bool shouldBypass(const AccessInfo& info, std::uint32_t) override
+    {
+        return info.type == AccessType::Prefetch;
+    }
+};
+
+TEST(PolicyCacheTest, TelemetryAttachedMidRunCountsOnlyAfterAttach)
+{
+    using S = stats::LevelStats;
+    const std::pair<const char*, std::uint64_t S::*> counters[] = {
+        {"llc.demand_accesses", &S::demandAccesses},
+        {"llc.demand_hits", &S::demandHits},
+        {"llc.demand_misses", &S::demandMisses},
+        {"llc.prefetch_accesses", &S::prefetchAccesses},
+        {"llc.writeback_accesses", &S::writebackAccesses},
+        {"llc.bypasses", &S::bypasses},
+        {"llc.fills", &S::fills},
+        {"llc.evictions", &S::evictions},
+        {"llc.dirty_evictions", &S::dirtyEvictions},
+    };
+    const CacheGeometry g(256, 4);
+    PolicyCache c(256, 4, std::make_unique<BypassPrefetchLru>(g), 1);
+    // One pass over the single 4-way set that makes all nine events:
+    // a dirty fill, three clean fills, a hit, an eviction of the dirty
+    // block and a bypassed prefetch.
+    const auto phase = [&c](std::uint64_t t) {
+        c.access(demand(addrOf(0, t, 1), AccessType::Writeback));
+        for (std::uint64_t k = 1; k <= 3; ++k)
+            c.access(demand(addrOf(0, t + k, 1)));
+        c.access(demand(addrOf(0, t + 1, 1)));
+        c.access(demand(addrOf(0, t + 4, 1), AccessType::Store));
+        c.access(demand(addrOf(0, t + 5, 1), AccessType::Prefetch));
+    };
+    phase(0);
+    const S at_attach = c.stats();
+    telemetry::MetricsRegistry reg;
+    c.attachTelemetry(reg);
+    phase(10);
+    const S window = c.stats() - at_attach;
+    const telemetry::Snapshot snap = reg.snapshot();
+    for (const auto& [name, field] : counters) {
+        SCOPED_TRACE(name);
+        const auto* m = snap.find(name);
+        ASSERT_NE(m, nullptr);
+        EXPECT_EQ(m->kind, telemetry::MetricSnapshot::Kind::Counter);
+        EXPECT_GT(at_attach.*field, 0u); // there was traffic to exclude
+        EXPECT_GT(window.*field, 0u);
+        EXPECT_EQ(m->counter, window.*field);
+    }
 }
 
 } // namespace

@@ -107,16 +107,37 @@ TEST(HierarchyTest, PerCoreCachesAreIsolated)
     EXPECT_EQ(h->access(1, 0x400000, a, false, nullptr), 40u);
 }
 
-TEST(HierarchyTest, ResetStatsClearsCounters)
+TEST(HierarchyTest, WindowExcludesTrafficBeforeItsBaseline)
+{
+    auto h = make();
+    h->access(0, 0x400000, 0x7000000, false, nullptr); // cold miss
+    const stats::LevelStats llc_base = h->llc().stats();
+    telemetry::MetricsRegistry reg;
+    h->attachTelemetry(reg); // the window opens here
+    h->access(0, 0x400000, 0x9000000, false, nullptr); // cold miss
+    EXPECT_EQ(h->llc().stats().demandMisses, 2u);
+    EXPECT_EQ(h->dramReads(), 2u);
+    const stats::LevelStats window = h->llc().stats() - llc_base;
+    EXPECT_EQ(window.demandAccesses, 1u);
+    EXPECT_EQ(window.demandMisses, 1u);
+    EXPECT_EQ(window.fills, 1u);
+    const telemetry::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.find("llc.demand_misses")->counter, 1u);
+    EXPECT_EQ(snap.find("mem.dram_reads")->gauge, 1.0);
+    EXPECT_EQ(snap.find("mem.dram_writes")->gauge, 0.0);
+}
+
+TEST(HierarchyTest, ContentsSurviveWindowStart)
 {
     auto h = make();
     h->access(0, 0x400000, 0x7000000, false, nullptr);
-    h->resetStats();
-    EXPECT_EQ(h->llc().stats().totalAccesses(), 0u);
-    EXPECT_EQ(h->l1(0).stats().demandAccesses, 0u);
-    EXPECT_EQ(h->dramReads(), 0u);
-    // Contents were preserved.
+    const stats::LevelStats l1_base = h->l1(0).stats();
+    telemetry::MetricsRegistry reg;
+    h->attachTelemetry(reg);
+    // The block warmed before the window still hits in L1.
     EXPECT_EQ(h->access(0, 0x400000, 0x7000000, false, nullptr), 4u);
+    EXPECT_EQ((h->l1(0).stats() - l1_base).demandHits, 1u);
+    EXPECT_EQ(reg.snapshot().find("llc.demand_accesses")->counter, 0u);
 }
 
 TEST(HierarchyTest, DramCountersTrackMissesAndDirtyEvictions)

@@ -65,7 +65,7 @@ TEST(SetSamplingTest, PartialTagsSpreadAndAreStable)
     EXPECT_LE(collisions, 2u);
 }
 
-TEST(LevelStatsTest, AggregatesAndResets)
+TEST(LevelStatsTest, AggregatesAndSubtractsABaseline)
 {
     stats::LevelStats s;
     s.demandAccesses = 10;
@@ -77,9 +77,16 @@ TEST(LevelStatsTest, AggregatesAndResets)
     s.writebackMisses = 1;
     EXPECT_EQ(s.totalAccesses(), 15u);
     EXPECT_EQ(s.totalMisses(), 6u);
-    s.reset();
-    EXPECT_EQ(s.totalAccesses(), 0u);
-    EXPECT_EQ(s.demandHits, 0u);
+    const stats::LevelStats base = s;
+    s.demandAccesses += 2;
+    s.demandHits += 2;
+    s.fills += 1;
+    const stats::LevelStats window = s - base;
+    EXPECT_EQ(window.totalAccesses(), 2u);
+    EXPECT_EQ(window.demandHits, 2u);
+    EXPECT_EQ(window.demandMisses, 0u);
+    EXPECT_EQ(window.fills, 1u);
+    EXPECT_TRUE(window.consistent());
 }
 
 } // namespace

@@ -72,6 +72,21 @@ TEST(MetricsRegistryTest, GaugeFnEvaluatedAtSnapshotTime)
     EXPECT_EQ(reg.snapshot().find("probe")->gauge, 42.5);
 }
 
+TEST(MetricsRegistryTest, CounterFnEvaluatedAtSnapshotTimeAsCounter)
+{
+    MetricsRegistry reg;
+    std::uint64_t events = 7;
+    reg.counterFn("probe", [&events] { return events; });
+    events = 9;
+    const Snapshot s = reg.snapshot();
+    EXPECT_EQ(s.find("probe")->kind, MetricSnapshot::Kind::Counter);
+    EXPECT_EQ(s.find("probe")->counter, 9u);
+    // A probe owns its name: no second registration of any kind.
+    EXPECT_THROW(reg.counter("probe"), FatalError);
+    EXPECT_THROW(reg.counterFn("probe", [] { return 0ull; }), FatalError);
+    EXPECT_THROW(reg.gaugeFn("probe", [] { return 0.0; }), FatalError);
+}
+
 // ---------------------------------------------------------------- //
 // Histogram bucket boundaries
 

@@ -2,12 +2,19 @@
  * @file
  * End-to-end telemetry tests: a telemetry-enabled run must (a) not
  * perturb the simulation, (b) produce metrics that reconcile exactly
- * with the driver's LevelStats-derived result fields, and (c) flow
- * through the parallel runner into the JSON/CSV/metrics/trace
- * exports deterministically.
+ * with the driver's LevelStats-derived result fields and with each
+ * other on every simulation path, and (c) flow through the parallel
+ * runner into the JSON/CSV/metrics/trace exports deterministically and
+ * byte-identical to the frozen files in tests/golden/.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
@@ -39,6 +46,37 @@ telemetryConfig(std::uint64_t epoch = 10000)
     return cfg;
 }
 
+/** Main-suite index of benchmark @p name. */
+unsigned
+suiteIndex(const std::string& name)
+{
+    const auto names = trace::suiteNames();
+    const auto it = std::find(names.begin(), names.end(), name);
+    EXPECT_NE(it, names.end()) << "no suite benchmark " << name;
+    return static_cast<unsigned>(it - names.begin());
+}
+
+/**
+ * Compare @p got with tests/golden/@p file; MRP_UPDATE_GOLDEN=1
+ * rewrites the file instead.
+ */
+void
+expectMatchesGolden(const std::string& file, const std::string& got)
+{
+    const auto path =
+        std::filesystem::path(__FILE__).parent_path() / "golden" / file;
+    if (std::getenv("MRP_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream(path, std::ios::binary) << got;
+        return;
+    }
+    std::ifstream f(path, std::ios::binary);
+    ASSERT_TRUE(f) << "missing golden file: " << path
+                   << " (regenerate with MRP_UPDATE_GOLDEN=1)";
+    std::ostringstream want;
+    want << f.rdbuf();
+    EXPECT_EQ(got, want.str()) << "telemetry export drifted from " << path;
+}
+
 TEST(TelemetryIntegrationTest, DisabledRunCarriesNoTelemetry)
 {
     const auto tr = trace::makeSuiteTrace(4, 120000); // gups.fit
@@ -68,7 +106,7 @@ TEST(TelemetryIntegrationTest, TelemetryDoesNotPerturbTheRun)
 
 TEST(TelemetryIntegrationTest, MetricsReconcileWithLevelStats)
 {
-    const auto tr = trace::makeSuiteTrace(0, 150000); // scan.a
+    const auto tr = trace::makeSuiteTrace(0, 150000); // compute.small
     trace::MaterializedTraceSource src(tr);
     const auto r = sim::runSingleCore(
         src, sim::PolicyRegistry::make("MPPPB"), telemetryConfig());
@@ -181,6 +219,105 @@ TEST(TelemetryIntegrationTest, RunnerReportsEmbedMetrics)
     EXPECT_EQ(runner::toCsv(set1), csv);
     EXPECT_EQ(runner::toMetricsJson(set1), metrics);
     EXPECT_EQ(runner::toTraceJson(set1), trace_doc);
+}
+
+/**
+ * Every DRAM read serves an LLC demand miss or a prefetch that missed,
+ * and every DRAM write is a dirty LLC victim or a bypassed writeback.
+ * Counted over one window, mem.* can therefore never exceed the llc.*
+ * events it comes from.
+ */
+void
+expectDramReconciles(const telemetry::RunTelemetry& t)
+{
+    EXPECT_LE(metric(t, "mem.dram_reads").gauge,
+              static_cast<double>(
+                  metric(t, "llc.demand_misses").counter +
+                  metric(t, "llc.prefetch_accesses").counter));
+    EXPECT_LE(metric(t, "mem.dram_writes").gauge,
+              static_cast<double>(
+                  metric(t, "llc.dirty_evictions").counter +
+                  metric(t, "llc.writeback_accesses").counter));
+}
+
+TEST(TelemetryIntegrationTest, DramTrafficReconcilesWithLlcOnEveryPath)
+{
+    const auto tr = trace::makeSuiteTrace(suiteIndex("scan.a"), 150000);
+    trace::MaterializedTraceSource src(tr);
+    {
+        SCOPED_TRACE("single-core");
+        const auto r = sim::runSingleCore(
+            src, sim::PolicyRegistry::make("MPPPB"), telemetryConfig());
+        ASSERT_NE(r.telemetry, nullptr);
+        expectDramReconciles(*r.telemetry);
+    }
+    {
+        SCOPED_TRACE("MIN measured pass");
+        const auto r = sim::runSingleCoreMin(src, telemetryConfig());
+        ASSERT_NE(r.telemetry, nullptr);
+        expectDramReconciles(*r.telemetry);
+    }
+
+    const auto a = trace::makeSuiteTrace(suiteIndex("gups.2x"), 120000);
+    const auto b = trace::makeSuiteTrace(suiteIndex("thrash.2x"), 120000);
+    sim::MultiCoreConfig cfg;
+    cfg.hierarchy.llcBytes = 256 * 1024;
+    cfg.warmupInstructions = 40000;
+    cfg.measureCycles = 60000;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.epochAccesses = 10000;
+    const auto mix = [&](const char* what) {
+        SCOPED_TRACE(what);
+        trace::MaterializedTraceSource sa(a), sb(b);
+        const auto r = sim::runMultiCore(
+            std::vector<trace::TraceSource*>{&sa, &sb},
+            sim::PolicyRegistry::make("MPPPB-MC"), cfg);
+        ASSERT_NE(r.telemetry, nullptr);
+        expectDramReconciles(*r.telemetry);
+    };
+    mix("shared mix");
+    cfg.tenancy.tenants = {{.ways = 10}, {.ways = 6}};
+    mix("fixed partition");
+    cfg.tenancy.tenants[0].sloMpki = 0.05; // hard to meet: QoS resizes
+    cfg.tenancy.qos.enabled = true;
+    cfg.tenancy.qos.epochInstructions = 10000;
+    cfg.tenancy.qos.breachEpochs = 1;
+    mix("QoS mix");
+}
+
+/**
+ * The metrics and trace_event exports of a single-core and a shared
+ * 4-core run, frozen byte for byte. The short epoch puts many
+ * snapshots inside LLC accesses, so the golden trace also pins when
+ * each counter moves within an access (a fill is counted after the
+ * miss's observer call, not before).
+ */
+TEST(TelemetryIntegrationTest, ExportsMatchGoldenFiles)
+{
+    std::vector<runner::RunRequest> batch;
+    batch.push_back(runner::RunRequest::singleCore(
+        trace::TraceSpec::suite(suiteIndex("scan.a"), 400000),
+        runner::PolicySpec::byName("MPPPB"), telemetryConfig(997)));
+    sim::MultiCoreConfig mc;
+    mc.hierarchy.llcBytes = 512 * 1024;
+    mc.warmupInstructions = 100000;
+    mc.measureCycles = 40000;
+    mc.telemetry.enabled = true;
+    mc.telemetry.epochAccesses = 997;
+    batch.push_back(runner::RunRequest::multiCore(
+        std::vector<trace::TraceSpec>{
+            trace::TraceSpec::suite(suiteIndex("thrash.2x"), 100000),
+         trace::TraceSpec::suite(suiteIndex("scan.a"), 100000),
+         trace::TraceSpec::suite(suiteIndex("mixpc.hi"), 100000),
+         trace::TraceSpec::suite(suiteIndex("gups.2x"), 100000)},
+        runner::PolicySpec::byName("MPPPB-MC"), mc));
+
+    const auto set = runner::ExperimentRunner(2).run(batch);
+    ASSERT_EQ(set.results.size(), 2u);
+    ASSERT_TRUE(set.results[0].ok() && set.results[1].ok());
+    expectMatchesGolden("telemetry_metrics.json",
+                        runner::toMetricsJson(set));
+    expectMatchesGolden("telemetry_trace.json", runner::toTraceJson(set));
 }
 
 TEST(TelemetryIntegrationTest, ObserverAndTelemetryAreExclusive)

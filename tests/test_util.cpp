@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bitfield.hpp"
@@ -18,6 +19,7 @@
 #include "util/history.hpp"
 #include "util/logging.hpp"
 #include "util/math_util.hpp"
+#include "util/parallel_for.hpp"
 #include "util/types.hpp"
 #include "util/rng.hpp"
 #include "util/sat_counter.hpp"
@@ -281,6 +283,34 @@ TEST(LoggingTest, PassingChecksDoNotAllocate)
         EXPECT_STREQ(e.what(),
                      "fatal: a message longer than fifteen chars");
     }
+}
+
+TEST(ParallelForTest, RunsEveryIndexOnceAtAnyWorkerCount)
+{
+    for (const unsigned jobs : {0u, 1u, 3u, 16u}) {
+        std::vector<std::atomic<int>> hits(37);
+        parallelFor(hits.size(), jobs, [&](std::size_t i) { ++hits[i]; });
+        for (const auto& h : hits)
+            EXPECT_EQ(h.load(), 1) << "jobs " << jobs;
+    }
+    parallelFor(0, 4, [](std::size_t) { FAIL() << "no indices to run"; });
+}
+
+TEST(ParallelForTest, RethrowsTheFirstExceptionAfterJoin)
+{
+    const auto failAt5 = [](std::atomic<int>& ran) {
+        return [&ran](std::size_t i) {
+            ++ran;
+            if (i == 5)
+                throw std::runtime_error("boom");
+        };
+    };
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallelFor(100, 4, failAt5(ran)), std::runtime_error);
+    // Inline, nothing is handed out after the failure.
+    ran = 0;
+    EXPECT_THROW(parallelFor(100, 1, failAt5(ran)), std::runtime_error);
+    EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(Types, BlockArithmetic)
