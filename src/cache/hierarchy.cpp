@@ -149,11 +149,11 @@ Hierarchy::attachTelemetry(telemetry::MetricsRegistry& registry)
 {
     llc_.attachTelemetry(registry);
     // Same window as the llc.* counters: traffic from now on.
-    registry.gaugeFn("mem.dram_reads", [this, base = dramReads_] {
-        return static_cast<double>(dramReads_ - base);
+    registry.counterFn("mem.dram_reads", [this, base = dramReads_] {
+        return dramReads_ - base;
     });
-    registry.gaugeFn("mem.dram_writes", [this, base = dramWrites_] {
-        return static_cast<double>(dramWrites_ - base);
+    registry.counterFn("mem.dram_writes", [this, base = dramWrites_] {
+        return dramWrites_ - base;
     });
     if (!cfg_.prefetchEnabled)
         return;
@@ -169,18 +169,12 @@ Hierarchy::attachTelemetry(telemetry::MetricsRegistry& registry)
             return n;
         };
     using SP = prefetch::StreamPrefetcher;
-    registry.gaugeFn("prefetch.issued", [sum] {
-        return static_cast<double>(sum(&SP::trackedIssued));
-    });
-    registry.gaugeFn("prefetch.useful", [sum] {
-        return static_cast<double>(sum(&SP::useful));
-    });
-    registry.gaugeFn("prefetch.late", [sum] {
-        return static_cast<double>(sum(&SP::late));
-    });
-    registry.gaugeFn("prefetch.demand_l1_misses", [sum] {
-        return static_cast<double>(sum(&SP::demandMisses));
-    });
+    registry.counterFn("prefetch.issued",
+                       [sum] { return sum(&SP::trackedIssued); });
+    registry.counterFn("prefetch.useful", [sum] { return sum(&SP::useful); });
+    registry.counterFn("prefetch.late", [sum] { return sum(&SP::late); });
+    registry.counterFn("prefetch.demand_l1_misses",
+                       [sum] { return sum(&SP::demandMisses); });
     registry.gaugeFn("prefetch.accuracy", [sum] {
         const std::uint64_t issued = sum(&SP::trackedIssued);
         return issued == 0 ? 0.0

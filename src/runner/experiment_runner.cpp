@@ -3,10 +3,12 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -21,6 +23,24 @@
 namespace mrp::runner {
 
 namespace {
+
+/**
+ * @p parts joined into one string reserved up front. Every progress
+ * line is built this way, not as `"literal" + std::string&&` chains:
+ * GCC 12 -O3 reports a false -Werror=restrict on that form.
+ */
+std::string
+cat(std::initializer_list<std::string_view> parts)
+{
+    std::size_t size = 0;
+    for (const std::string_view part : parts)
+        size += part.size();
+    std::string out;
+    out.reserve(size);
+    for (const std::string_view part : parts)
+        out += part;
+    return out;
+}
 
 /**
  * Serialized emitter of live progress events (see the RunnerOptions
@@ -57,21 +77,22 @@ class ProgressSink
     {
         std::lock_guard<std::mutex> lock(mutex_);
         total_ = total;
-        emitJson("{\"event\": \"batch_start\", \"total\": " +
-                 std::to_string(total) +
-                 ", \"skipped\": " + std::to_string(skipped) + "}");
+        emitJson(cat({"{\"event\": \"batch_start\", \"total\": ",
+                      std::to_string(total), ", \"skipped\": ",
+                      std::to_string(skipped), "}"}));
         if (skipped > 0)
-            emitHuman("[0/" + std::to_string(total) + "] resumed, " +
-                      std::to_string(skipped) + " run(s) skipped");
+            emitHuman(cat({"[0/", std::to_string(total), "] resumed, ",
+                           std::to_string(skipped),
+                           " run(s) skipped"}));
     }
 
     void
     runSkipped(std::size_t index, const std::string& label)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        emitJson("{\"event\": \"run_skipped\", \"index\": " +
-                 std::to_string(index) +
-                 ", \"label\": " + json::str(label) + "}");
+        emitJson(cat({"{\"event\": \"run_skipped\", \"index\": ",
+                      std::to_string(index), ", \"label\": ",
+                      json::str(label), "}"}));
     }
 
     void
@@ -79,10 +100,10 @@ class ProgressSink
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++running_;
-        emitJson("{\"event\": \"run_start\", \"index\": " +
-                 std::to_string(index) +
-                 ", \"label\": " + json::str(label) + "}");
-        emitHuman(position() + " start " + label + status());
+        emitJson(cat({"{\"event\": \"run_start\", \"index\": ",
+                      std::to_string(index), ", \"label\": ",
+                      json::str(label), "}"}));
+        emitHuman(cat({position(), " start ", label, status()}));
     }
 
     void
@@ -90,15 +111,14 @@ class ProgressSink
              unsigned next_attempt, ErrorCode code)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        emitJson("{\"event\": \"run_retry\", \"index\": " +
-                 std::to_string(index) +
-                 ", \"label\": " + json::str(label) +
-                 ", \"attempt\": " + std::to_string(next_attempt) +
-                 ", \"errorCode\": " +
-                 json::str(errorCodeName(code)) + "}");
-        emitHuman(position() + " retry #" +
-                  std::to_string(next_attempt) + " " + label + " (" +
-                  errorCodeName(code) + ")");
+        emitJson(cat({"{\"event\": \"run_retry\", \"index\": ",
+                      std::to_string(index), ", \"label\": ",
+                      json::str(label), ", \"attempt\": ",
+                      std::to_string(next_attempt), ", \"errorCode\": ",
+                      json::str(errorCodeName(code)), "}"}));
+        emitHuman(cat({position(), " retry #",
+                       std::to_string(next_attempt), " ", label, " (",
+                       errorCodeName(code), ")"}));
     }
 
     void
@@ -110,37 +130,37 @@ class ProgressSink
         r.ok() ? ++completed_ : ++failed_;
         const char* status = r.ok() ? "ok" : "failed";
         std::string line =
-            "{\"event\": \"run_end\", \"index\": " +
-            std::to_string(r.index) +
-            ", \"label\": " + json::str(r.label) +
-            ", \"status\": \"" + status + "\"";
+            cat({"{\"event\": \"run_end\", \"index\": ",
+                 std::to_string(r.index), ", \"label\": ",
+                 json::str(r.label), ", \"status\": \"", status, "\""});
         if (!r.ok())
-            line += ", \"errorCode\": " +
-                    json::str(errorCodeName(r.errorCode));
-        line += ", \"wallSeconds\": " +
-                json::formatDouble(r.wallSeconds) +
-                ", \"attempts\": " + std::to_string(r.attempts) +
-                ", \"completed\": " + std::to_string(completed_) +
-                ", \"failed\": " + std::to_string(failed_) +
-                ", \"running\": " + std::to_string(running_) +
-                ", \"total\": " + std::to_string(total_);
+            line += cat({", \"errorCode\": ",
+                         json::str(errorCodeName(r.errorCode))});
+        line += cat({", \"wallSeconds\": ",
+                     json::formatDouble(r.wallSeconds), ", \"attempts\": ",
+                     std::to_string(r.attempts), ", \"completed\": ",
+                     std::to_string(completed_), ", \"failed\": ",
+                     std::to_string(failed_), ", \"running\": ",
+                     std::to_string(running_), ", \"total\": ",
+                     std::to_string(total_)});
         const double eta = etaSeconds();
         if (eta >= 0.0)
-            line += ", \"etaSeconds\": " + json::formatDouble(eta);
-        line += "}";
+            line += cat({", \"etaSeconds\": ", json::formatDouble(eta)});
+        line += '}';
         emitJson(line);
 
-        std::string human = position() + " " + status + " " + r.label;
+        std::string human = cat({position(), " ", status, " ", r.label});
         char buf[64];
         std::snprintf(buf, sizeof(buf), " (%.1fs", r.wallSeconds);
         human += buf;
         if (r.attempts > 1)
-            human += ", " + std::to_string(r.attempts) + " attempts";
+            human += cat({", ", std::to_string(r.attempts), " attempts"});
         if (eta >= 0.0) {
             std::snprintf(buf, sizeof(buf), ", eta %.0fs", eta);
             human += buf;
         }
-        human += ")" + status2();
+        human += ')';
+        human += status2();
         emitHuman(human);
     }
 
@@ -148,19 +168,18 @@ class ProgressSink
     batchEnd(double wall_seconds)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        emitJson("{\"event\": \"batch_end\", \"completed\": " +
-                 std::to_string(completed_) +
-                 ", \"failed\": " + std::to_string(failed_) +
-                 ", \"total\": " + std::to_string(total_) +
-                 ", \"wallSeconds\": " +
-                 json::formatDouble(wall_seconds) + "}");
+        emitJson(cat({"{\"event\": \"batch_end\", \"completed\": ",
+                      std::to_string(completed_), ", \"failed\": ",
+                      std::to_string(failed_), ", \"total\": ",
+                      std::to_string(total_), ", \"wallSeconds\": ",
+                      json::formatDouble(wall_seconds), "}"}));
         char buf[64];
         std::snprintf(buf, sizeof(buf), " done in %.1fs",
                       wall_seconds);
-        emitHuman(position() + buf +
-                  (failed_ > 0
-                       ? ", " + std::to_string(failed_) + " failed"
-                       : ""));
+        std::string human = cat({position(), buf});
+        if (failed_ > 0)
+            human += cat({", ", std::to_string(failed_), " failed"});
+        emitHuman(human);
     }
 
   private:
@@ -169,29 +188,23 @@ class ProgressSink
     std::string
     position() const
     {
-        // Appended, not `"[" + std::string&&`: GCC 12 -O3 reports a
-        // false -Werror=restrict on that form here.
-        std::string out = "[";
-        out += std::to_string(completed_ + failed_);
-        out += '/';
-        out += std::to_string(total_);
-        out += ']';
-        return out;
+        return cat({"[", std::to_string(completed_ + failed_), "/",
+                    std::to_string(total_), "]"});
     }
 
     std::string
     status() const
     {
-        return running_ > 1
-                   ? " (+" + std::to_string(running_ - 1) + " running)"
-                   : "";
+        return running_ > 1 ? cat({" (+", std::to_string(running_ - 1),
+                                   " running)"})
+                            : "";
     }
 
     std::string
     status2() const
     {
         return running_ > 0
-                   ? ", " + std::to_string(running_) + " running"
+                   ? cat({", ", std::to_string(running_), " running"})
                    : "";
     }
 
@@ -222,7 +235,7 @@ class ProgressSink
     {
         if (!stderr_)
             return;
-        const std::string full = "mrp: " + line + "\n";
+        const std::string full = cat({"mrp: ", line, "\n"});
         std::fwrite(full.data(), 1, full.size(), stderr);
         std::fflush(stderr);
     }

@@ -123,8 +123,8 @@ TEST(HierarchyTest, WindowExcludesTrafficBeforeItsBaseline)
     EXPECT_EQ(window.fills, 1u);
     const telemetry::Snapshot snap = reg.snapshot();
     EXPECT_EQ(snap.find("llc.demand_misses")->counter, 1u);
-    EXPECT_EQ(snap.find("mem.dram_reads")->gauge, 1.0);
-    EXPECT_EQ(snap.find("mem.dram_writes")->gauge, 0.0);
+    EXPECT_EQ(snap.find("mem.dram_reads")->counter, 1u);
+    EXPECT_EQ(snap.find("mem.dram_writes")->counter, 0u);
 }
 
 TEST(HierarchyTest, ContentsSurviveWindowStart)

@@ -230,14 +230,16 @@ TEST(TelemetryIntegrationTest, RunnerReportsEmbedMetrics)
 void
 expectDramReconciles(const telemetry::RunTelemetry& t)
 {
-    EXPECT_LE(metric(t, "mem.dram_reads").gauge,
-              static_cast<double>(
-                  metric(t, "llc.demand_misses").counter +
-                  metric(t, "llc.prefetch_accesses").counter));
-    EXPECT_LE(metric(t, "mem.dram_writes").gauge,
-              static_cast<double>(
-                  metric(t, "llc.dirty_evictions").counter +
-                  metric(t, "llc.writeback_accesses").counter));
+    for (const char* name : {"mem.dram_reads", "mem.dram_writes"})
+        EXPECT_EQ(metric(t, name).kind,
+                  telemetry::MetricSnapshot::Kind::Counter)
+            << name;
+    EXPECT_LE(metric(t, "mem.dram_reads").counter,
+              metric(t, "llc.demand_misses").counter +
+                  metric(t, "llc.prefetch_accesses").counter);
+    EXPECT_LE(metric(t, "mem.dram_writes").counter,
+              metric(t, "llc.dirty_evictions").counter +
+                  metric(t, "llc.writeback_accesses").counter);
 }
 
 TEST(TelemetryIntegrationTest, DramTrafficReconcilesWithLlcOnEveryPath)

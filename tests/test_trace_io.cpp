@@ -1,6 +1,8 @@
 /**
  * @file
- * Tests for the trace file: the bytes ChunkedTraceWriter writes
+ * Tests for the trace file: the CRC-32 that seals it (known answers,
+ * and agreement with a byte-at-a-time reference at every length,
+ * alignment and update split), the bytes ChunkedTraceWriter writes
  * (pinned sizes and CRC-32s, independence from how records are
  * appended), round trips through FileTraceSource, and a fuzz-style
  * corrupt-input suite (truncation at every header byte, bit flips,
@@ -29,6 +31,7 @@
 #include "util/crc32.hpp"
 #include "util/fault_injection.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace mrp::trace {
 namespace {
@@ -160,6 +163,68 @@ resealHeader(std::string& bytes)
         wire::v3PayloadStart(u32At(bytes, 24)) - 4;
     const std::uint32_t crc = Crc32::of(bytes.data(), crc_at);
     std::memcpy(&bytes[crc_at], &crc, sizeof(crc));
+}
+
+// ---------------------------------------------------------------------
+// CRC-32
+
+/** The byte-at-a-time table loop (Sarwate), the reference the sliced
+ * Crc32::update must agree with. */
+std::uint32_t
+referenceCrc(const unsigned char* p, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i)
+        c = detail::kCrc32Table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    return ~c;
+}
+
+/** Seeded random bytes: 80-byte inputs at every start offset 0-15. */
+std::vector<unsigned char>
+randomBytes()
+{
+    Rng rng(0xC3C32);
+    std::vector<unsigned char> buf(96);
+    for (auto& b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    return buf;
+}
+
+TEST(Crc32Test, KnownAnswers)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(Crc32::of(check, 9), 0xCBF43926u); // CRC-32/IEEE check
+    EXPECT_EQ(Crc32::of(check, 0), 0u);
+    EXPECT_EQ(referenceCrc(reinterpret_cast<const unsigned char*>(check),
+                           9),
+              0xCBF43926u);
+}
+
+TEST(Crc32Test, MatchesByteLoopAtEveryLengthAndOffset)
+{
+    const std::vector<unsigned char> buf = randomBytes();
+    for (std::size_t off = 0; off < 16; ++off)
+        for (std::size_t len = 0; len <= 80; ++len)
+            ASSERT_EQ(Crc32::of(buf.data() + off, len),
+                      referenceCrc(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
+TEST(Crc32Test, SplitUpdatesEqualOneShot)
+{
+    const std::vector<unsigned char> buf = randomBytes();
+    for (const std::size_t off : {0u, 3u}) {
+        const unsigned char* p = buf.data() + off;
+        const std::size_t len = 80;
+        const std::uint32_t whole = Crc32::of(p, len);
+        for (std::size_t cut = 0; cut <= len; ++cut) {
+            Crc32 crc;
+            crc.update(p, cut);
+            crc.update(p + cut, len - cut);
+            ASSERT_EQ(crc.value(), whole)
+                << "offset " << off << " cut " << cut;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
